@@ -15,7 +15,7 @@ from .errors import (
     SeriesConvergenceError,
     TruncationError,
 )
-from .polyalg import CasimirPoly, RationalPoly, StructurePoly, discrete_antiderivative, casimir_matrix
+from .polyalg import CasimirPoly, RationalPoly, discrete_antiderivative
 from .reps import (
     AlgebraLabel,
     Representation,

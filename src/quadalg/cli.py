@@ -2,19 +2,22 @@
 
 All subcommands write machine-readable output to stdout (JSON by default,
 CSV with ``--format csv``) and diagnostics to stderr.  Exit codes: 0 on
-success, 2 on validation errors (including unknown flags and malformed
-labels), 3 on numerical-tolerance failures.  k and l are parsed as exact
+success, 2 on validation errors (including unknown flags, malformed labels
+and non-finite parameters), 3 on numerical-tolerance failures and on
+arithmetic errors such as overflow.  k and l are parsed as exact
 fractions ("3/2"), never as floats.  Output is byte-deterministic for fixed
 inputs: ordering is fixed and floats are printed with 17 significant digits.
 
 The environment variable QUADALG_MAX_DIM (default 4096) caps every
-truncation dimension.
+truncation dimension, including the number of Fock states of ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import io
+import math
 import os
 import sys
 from fractions import Fraction
@@ -45,9 +48,12 @@ def _frac(text: str) -> Fraction:
 
 def _complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a complex number like '1+2j', got {text!r}")
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected a finite complex number, got {text!r}")
+    return z
 
 
 def _cutoffs(text: str) -> tuple[int, ...]:
@@ -101,8 +107,7 @@ def _cmd_rep(args):
     if args.format == "json":
         return json_dumps(reps.rep_to_dict(rep)) + "\n", 0
     buf = io.StringIO()
-    raises = [rep.qp[n + 1, n] for n in range(rep.dim - 1)] + [0.0]
-    rows = [(n, float(rep.q0[n, n]), raises[n]) for n in range(rep.dim)]
+    rows = zip(range(rep.dim), rep.diag.tolist(), rep.raising.tolist() + [0.0])
     write_csv(buf, ("n", "q0", "raise_to_next"), rows)
     return buf.getvalue(), 0
 
@@ -112,8 +117,7 @@ def _cmd_casimir(args):
     report = reps.casimir_value(rep)
     struct = reps.structure_poly(rep)
     g = reps.casimir_poly(rep)
-    doc = reps.rep_to_dict(rep, include_casimir=False)
-    head = {k: doc[k] for k in doc if k in ("sector", "j", "k", "l", "dim")}
+    head = reps.label_fields(rep)
     head["structure_coeffs"] = [str(c) for c in struct.coeffs]
     head["casimir_poly_coeffs"] = [str(c) for c in g.poly.coeffs]
     head["convention"] = report.convention_note
@@ -137,6 +141,7 @@ def _cmd_verify(args):
         cuts = cuts * modes
     if len(cuts) != modes:
         raise InvalidLabelError(f"sector {args.sector} needs {modes} cutoffs, got {len(cuts)}")
+    _check_dim(math.prod(c + 1 for c in cuts))
     space = fock3.FockSpace(cuts)
     if args.sector == "compact":
         ops = fock3.realize_compact(space)
@@ -221,12 +226,10 @@ def _cmd_coherent(args):
         dim = _check_dim(args.dim) if args.dim else None
         state = coherent.bg_state(label, args.param, dim=dim, max_dim=cap)
         rep = reps.noncompact_rep(label, state.truncation)
-        if args.param != 0:
-            resid = float(np.linalg.norm(rep.qm @ state.coeffs - args.param * state.coeffs)
-                          / abs(args.param))
-        else:
-            resid = float(np.linalg.norm(rep.qm @ state.coeffs))
-        extra = {"eigen_residual": resid}
+        # |qm c - param c|, relative to |param| unless it is 0; (qm c)[n] = raising[n] c[n+1]
+        lowered = np.append(rep.raising * state.coeffs[1:], 0.0)
+        resid = np.linalg.norm(lowered - args.param * state.coeffs) / (abs(args.param) or 1.0)
+        extra = {"eigen_residual": float(resid)}
     elif args.family == "perelomov-nc":
         state = coherent.perelomov_noncompact(label, args.param, _check_dim(args.dim or 16))
         extra = {}
@@ -468,6 +471,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalToleranceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     sys.stdout.write(text)
     return code

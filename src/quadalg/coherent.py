@@ -185,18 +185,6 @@ class CoherentState:
         return float(np.linalg.norm(self.coeffs))
 
 
-def _bg_square_terms(label: AlgebraLabel, abs_alpha_sq: float):
-    """Generator of |c_n|^2 terms of the unnormalised eigenstate series."""
-    k = float(label.k)
-    s = label.step
-    t = 1.0
-    n = 0
-    while True:
-        yield t
-        t *= abs_alpha_sq / ((n + 1) * (n + 2 * k) * (n + s + 1))
-        n += 1
-
-
 def _bg_choose_dim(label: AlgebraLabel, alpha: complex, tail_rel: float, max_dim: int) -> int:
     asq = abs(alpha) ** 2
     if asq == 0.0:

@@ -7,8 +7,8 @@ antiderivative of ``p``, i.e. ``g(x) - g(x-1) = p(x)``.  The antiderivative
 is defined up to an additive constant; everything here pins it down by the
 normalisation ``g(-1) = 0``.
 
-Polynomial arithmetic is exact over :class:`fractions.Fraction`; matrices
-enter only in :func:`casimir_matrix`, which contracts in float.
+Polynomial arithmetic is exact over :class:`fractions.Fraction`; evaluation
+at floats (or elementwise on float arrays) uses the coefficients as floats.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 Rat = Union[int, Fraction]
 
@@ -71,9 +69,12 @@ class RationalPoly:
         return hash(self.coeffs)
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact when ``x`` is rational."""
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0.0
-        for c in reversed(self.coeffs):
+        """Evaluate by Horner's rule; exact when ``x`` is rational, float otherwise."""
+        if isinstance(x, (int, Fraction)):
+            acc, coeffs = Fraction(0), self.coeffs
+        else:
+            acc, coeffs = 0.0, [float(c) for c in self.coeffs]
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc
 
@@ -117,17 +118,6 @@ class RationalPoly:
     def derivative(self) -> "RationalPoly":
         return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def eval_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Evaluate on a square matrix by Horner's rule (float contraction)."""
-        d = m.shape[0]
-        if m.shape != (d, d):
-            raise ValueError("matrix argument must be square")
-        acc = np.zeros_like(m, dtype=float)
-        eye = np.eye(d)
-        for c in reversed(self.coeffs):
-            acc = acc @ m + float(c) * eye
-        return acc
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "RationalPoly(0)"
@@ -142,11 +132,6 @@ class RationalPoly:
             else:
                 parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "RationalPoly(" + " + ".join(parts) + ")"
-
-
-# The structure polynomial of a deformation is an ordinary rational
-# polynomial; the alias is kept for call sites that want the intent visible.
-StructurePoly = RationalPoly
 
 
 @dataclass(frozen=True)
@@ -195,21 +180,6 @@ def discrete_antiderivative(f: RationalPoly) -> CasimirPoly:
     if g - g.shift(-1) != f:
         raise AssertionError("discrete antiderivative failed symbolic check")
     return CasimirPoly(g)
-
-
-def casimir_matrix(rep, g: Union[CasimirPoly, RationalPoly]) -> np.ndarray:
-    """Dense Casimir matrix ``qp @ qm + g(q0 - 1)`` of a representation.
-
-    ``rep`` only needs ``q0``/``qp``/``qm`` attributes, so both closed-form
-    representations and bosonic realizations are accepted.
-    """
-    poly = g.poly if isinstance(g, CasimirPoly) else g
-    q0, qp, qm = np.asarray(rep.q0, float), np.asarray(rep.qp, float), np.asarray(rep.qm, float)
-    d = q0.shape[0]
-    for m in (q0, qp, qm):
-        if m.shape != (d, d):
-            raise ValueError("representation matrices must be square and of equal dimension")
-    return qp @ qm + poly.eval_matrix(q0 - np.eye(d))
 
 
 # ---------------------------------------------------------------------------

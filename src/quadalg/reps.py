@@ -12,12 +12,18 @@ series) and the quadratic three-mode algebras in both sectors:
 Labels ``(k, l)`` are exact rationals (denominators 2 and 4).  All ladder
 matrix elements are square roots of non-negative integers; the exact squared
 values are kept on the representation for exact-arithmetic checks.
+
+A representation is its band: the diagonal of ``q0`` and the raising entries
+below it.  Checks contract the band in O(d) with the float operations of the
+dense products (every other term of a bidiagonal product is an exact zero);
+dense matrices are built only on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -122,25 +128,39 @@ AnyLabel = Union[AlgebraLabel, Su2Label, Su11Label]
 
 @dataclass
 class Representation:
-    """Dense generator matrices plus the exact data that produced them.
+    """Exact band data of a ladder representation, with its float images.
 
-    ``qp_sq[n]`` is the exact rational square of the raising entry n -> n+1;
-    ``qm`` is the transpose of ``qp`` by construction.  For a truncated
+    ``q0_diag[n]`` is the exact diagonal entry and ``qp_sq[n]`` the exact
+    rational square of the raising entry n -> n+1; ``diag`` and ``raising``
+    are their floats (``raising[n] = sqrt(float(qp_sq[n]))``).  The lowering
+    entry n+1 -> n equals the raising entry n -> n+1.  For a truncated
     noncompact representation ``boundary_index`` marks the top basis index,
     whose raising transition was dropped.
     """
 
     label: AnyLabel
     dim: int
-    q0: np.ndarray
-    qp: np.ndarray
-    qm: np.ndarray
     kval: Optional[Fraction]
     lval: Optional[Fraction]
     qp_sq: tuple[Fraction, ...]
     q0_diag: tuple[Fraction, ...]
+    diag: np.ndarray
+    raising: np.ndarray
     truncated: bool = False
     boundary_index: Optional[int] = None
+
+    # dense generators, built on first use
+    @cached_property
+    def q0(self) -> np.ndarray:
+        return np.diag(self.diag)
+
+    @cached_property
+    def qp(self) -> np.ndarray:
+        return np.diag(self.raising, -1)
+
+    @cached_property
+    def qm(self) -> np.ndarray:
+        return np.diag(self.raising, 1)
 
     @property
     def interior(self) -> np.ndarray:
@@ -153,18 +173,14 @@ class Representation:
 
 def _ladder_rep(label: AnyLabel, dim: int, q0_diag, squares, *, truncated: bool,
                 kval=None, lval=None) -> Representation:
+    """``squares`` are the exact (positive integer) squares of the raising entries."""
+    assert len(squares) == max(dim - 1, 0)
     q0d = tuple(as_fraction(x) for x in q0_diag)
-    sq = tuple(as_fraction(s) for s in squares)
-    assert len(sq) == max(dim - 1, 0)
-    if any(s < 0 for s in sq):
-        raise InvalidLabelError(f"negative squared ladder entry for label {label}")
-    q0 = np.diag([float(x) for x in q0d])
-    qp = np.zeros((dim, dim))
-    for n, s in enumerate(sq):
-        qp[n + 1, n] = math.sqrt(float(s))
     return Representation(
-        label=label, dim=dim, q0=q0, qp=qp, qm=qp.T.copy(),
-        kval=kval, lval=lval, qp_sq=sq, q0_diag=q0d,
+        label=label, dim=dim, kval=kval, lval=lval,
+        qp_sq=tuple(Fraction(s) for s in squares), q0_diag=q0d,
+        diag=np.array([float(x) for x in q0d]),
+        raising=np.array([math.sqrt(s) for s in squares]),
         truncated=truncated, boundary_index=(dim - 1 if truncated else None),
     )
 
@@ -173,9 +189,9 @@ def compact_rep(label: AlgebraLabel) -> Representation:
     """Finite representation of the compact quadratic algebra."""
     _require(label.sector == "compact", "compact_rep needs a compact label")
     k, l = label.k, label.l
-    dim = label.dim
-    squares = [(n + 1) * (n + 2 * k) * (2 * l - n - k) for n in range(dim - 1)]
-    return _ladder_rep(label, dim, [k - l + n for n in range(dim)], squares,
+    dim, twok, step, base = label.dim, int(2 * k), label.step, k - l
+    squares = [(n + 1) * (n + twok) * (step - n) for n in range(dim - 1)]  # 2l-n-k = step-n
+    return _ladder_rep(label, dim, [base + n for n in range(dim)], squares,
                        truncated=False, kval=label.kval, lval=l)
 
 
@@ -190,8 +206,9 @@ def noncompact_rep(label: AlgebraLabel, dim: int) -> Representation:
     if dim < 1:
         raise InvalidLabelError(f"truncation dimension must be >= 1, got {dim}")
     k, l = label.k, label.l
-    squares = [(n + 1) * (n + 2 * k) * (n + k - 2 * l + 1) for n in range(dim - 1)]
-    return _ladder_rep(label, dim, [k - l + n for n in range(dim)], squares,
+    twok, step, base = int(2 * k), label.step, k - l
+    squares = [(n + 1) * (n + twok) * (n + step + 1) for n in range(dim - 1)]  # k-2l = step
+    return _ladder_rep(label, dim, [base + n for n in range(dim)], squares,
                        truncated=True, kval=label.kval, lval=l)
 
 
@@ -199,8 +216,9 @@ def su2_rep(j) -> Representation:
     """Spin-j representation; basis index n = j + m runs upward from m = -j."""
     label = Su2Label(as_fraction(j))
     j = label.j
-    dim = int(2 * j) + 1
-    squares = [(n + 1) * (2 * j - n) for n in range(dim - 1)]
+    twoj = int(2 * j)
+    dim = twoj + 1
+    squares = [(n + 1) * (twoj - n) for n in range(dim - 1)]
     return _ladder_rep(label, dim, [n - j for n in range(dim)], squares,
                        truncated=False, kval=j * (j + 1), lval=None)
 
@@ -211,7 +229,8 @@ def su11_rep(k, dim: int) -> Representation:
     k = label.k
     if dim < 1:
         raise InvalidLabelError(f"truncation dimension must be >= 1, got {dim}")
-    squares = [(n + 1) * (2 * k + n) for n in range(dim - 1)]
+    twok = int(2 * k)
+    squares = [(n + 1) * (twok + n) for n in range(dim - 1)]
     return _ladder_rep(label, dim, [k + n for n in range(dim)], squares,
                        truncated=True, kval=k * (1 - k), lval=None)
 
@@ -225,10 +244,8 @@ def two_dim_family(k) -> Representation:
     k = as_fraction(k)
     label = AlgebraLabel.compact(k, (k + 1) / 2)
     rep = compact_rep(label)
-    q0_direct = np.diag([float((k - 1) / 2), float((k + 1) / 2)])
-    qp_direct = np.zeros((2, 2))
-    qp_direct[1, 0] = math.sqrt(float(2 * k))
-    if not (np.array_equal(rep.q0, q0_direct) and np.array_equal(rep.qp, qp_direct)):
+    if not (np.array_equal(rep.diag, [float((k - 1) / 2), float((k + 1) / 2)])
+            and np.array_equal(rep.raising, [math.sqrt(float(2 * k))])):
         raise AssertionError("2-dimensional family disagrees with compact_rep")
     return rep
 
@@ -249,15 +266,28 @@ def structure_poly(rep: Representation) -> RationalPoly:
     return polyalg.noncompact_structure(label.k, label.l)
 
 
+def relation_bands(diag: np.ndarray, raising: np.ndarray):
+    """Bands of ``[q0,qp] - qp``, ``[q0,qm] + qm`` and ``[qp,qm]`` (all else is zero).
+
+    Entry n of the first sits in column n, of the second in column n+1; the
+    third is the diagonal.
+    """
+    up = (diag[1:] * raising - raising * diag[:-1]) - raising
+    down = (diag[:-1] * raising - raising * diag[1:]) + raising
+    sq = raising * raising
+    return up, down, np.append(0.0, sq) - np.append(sq, 0.0)
+
+
 def defining_relation_residuals(rep: Representation) -> dict[str, float]:
     """Max-norm residuals of the defining relations, on interior columns."""
-    q0, qp, qm = rep.q0, rep.qp, rep.qm
+    up, down, comm = relation_bands(rep.diag, rep.raising)
     mask = rep.interior
-    r_up = np.abs((q0 @ qp - qp @ q0) - qp)[:, mask].max(initial=0.0)
-    r_dn = np.abs((q0 @ qm - qm @ q0) + qm)[:, mask].max(initial=0.0)
-    expected = structure_poly(rep).eval_matrix(q0)
-    r_comm = np.abs((qp @ qm - qm @ qp) - expected)[:, mask].max(initial=0.0)
-    return {"q0_qp": r_up, "q0_qm": r_dn, "qp_qm": r_comm}
+    expected = structure_poly(rep)(rep.diag)
+    return {
+        "q0_qp": np.abs(up[mask[:-1]]).max(initial=0.0),
+        "q0_qm": np.abs(down[mask[1:]]).max(initial=0.0),
+        "qp_qm": np.abs((comm - expected)[mask]).max(initial=0.0),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +298,7 @@ def defining_relation_residuals(rep: Representation) -> dict[str, float]:
 class CasimirReport:
     """Scalar Casimir value of a representation, with its exact counterpart.
 
-    ``value``/``max_deviation`` come from the float matrix; ``exact_value``
+    ``value``/``max_deviation`` come from the float diagonal; ``exact_value``
     evaluates the same antiderivative recipe in rational arithmetic.
     ``reference_value`` is the independent closed form for the label, which
     for the noncompact sector differs from the recipe by more than an overall
@@ -301,13 +331,15 @@ def reference_casimir(label: AnyLabel) -> Fraction:
 
 
 def casimir_value(rep: Representation) -> CasimirReport:
-    """Evaluate the Casimir matrix of ``rep`` and compare against closed forms."""
+    """Evaluate the Casimir ``qp@qm + g(q0 - 1)`` of ``rep`` against closed forms.
+
+    It is diagonal, with entry ``raising[n-1]**2 + g(diag[n] - 1)`` at level n.
+    """
     g = casimir_poly(rep)
-    c = polyalg.casimir_matrix(rep, g)
     mask = rep.interior
-    diag = np.diag(c)[mask]
+    diag = (np.append(0.0, rep.raising * rep.raising) + g(rep.diag - 1.0))[mask]
     value = float(diag.mean()) if diag.size else 0.0
-    dev = np.abs(c - value * np.eye(rep.dim))[np.ix_(mask, mask)].max(initial=0.0)
+    dev = np.abs(diag - value).max(initial=0.0)
     # exact route: the lowest state is annihilated, so C = g(q0(0) - 1) there
     exact = g(rep.q0_diag[0] - 1)
     ref = reference_casimir(rep.label)
@@ -325,15 +357,9 @@ def casimir_scalar_exact(label: AlgebraLabel, check_dim: int = 12) -> Fraction:
     level up to ``check_dim`` (or the full compact dimension) and requires all
     values to coincide.
     """
-    if label.sector == "compact":
-        rep = compact_rep(label)
-    else:
-        rep = noncompact_rep(label, check_dim)
+    rep = compact_rep(label) if label.sector == "compact" else noncompact_rep(label, check_dim)
     g = casimir_poly(rep)
-    values = set()
-    for n in range(rep.dim):
-        low_sq = rep.qp_sq[n - 1] if n > 0 else Fraction(0)
-        values.add(low_sq + g(rep.q0_diag[n] - 1))
+    values = {low_sq + g(x - 1) for low_sq, x in zip((Fraction(0),) + rep.qp_sq, rep.q0_diag)}
     if len(values) != 1:
         raise AssertionError(f"Casimir not scalar in exact arithmetic for {label}")
     return values.pop()
@@ -347,8 +373,8 @@ def _frac_str(x: Optional[Fraction]) -> Optional[str]:
     return None if x is None else str(x)
 
 
-def rep_to_dict(rep: Representation, include_casimir: bool = True) -> dict:
-    """JSON-ready document with row-major dense matrices as IEEE doubles."""
+def label_fields(rep: Representation) -> dict:
+    """Sector, label and dimension, the head of every ``rep``/``casimir`` document."""
     label = rep.label
     if isinstance(label, Su2Label):
         head = {"sector": "su2", "j": _frac_str(label.j)}
@@ -356,20 +382,24 @@ def rep_to_dict(rep: Representation, include_casimir: bool = True) -> dict:
         head = {"sector": "su11", "k": _frac_str(label.k)}
     else:
         head = {"sector": label.sector, "k": _frac_str(label.k), "l": _frac_str(label.l)}
-    doc = dict(head)
-    doc["dim"] = rep.dim
+    head["dim"] = rep.dim
+    return head
+
+
+def rep_to_dict(rep: Representation) -> dict:
+    """JSON-ready document with row-major dense matrices as IEEE doubles."""
+    doc = label_fields(rep)
     doc["truncated"] = rep.truncated
-    doc["q0"] = [float(x) for x in np.diag(rep.q0)]
-    doc["qp"] = [[float(x) for x in row] for row in rep.qp]
-    doc["qm"] = [[float(x) for x in row] for row in rep.qm]
-    if include_casimir:
-        rep_c = casimir_value(rep)
-        doc["casimir"] = {
-            "value": rep_c.value,
-            "max_deviation": rep_c.max_deviation,
-            "exact": _frac_str(rep_c.exact_value),
-            "reference": _frac_str(rep_c.reference_value),
-            "matches_reference": rep_c.matches_reference,
-            "convention": rep_c.convention_note,
-        }
+    doc["q0"] = rep.diag.tolist()
+    doc["qp"] = rep.qp.tolist()
+    doc["qm"] = rep.qm.tolist()
+    rep_c = casimir_value(rep)
+    doc["casimir"] = {
+        "value": rep_c.value,
+        "max_deviation": rep_c.max_deviation,
+        "exact": _frac_str(rep_c.exact_value),
+        "reference": _frac_str(rep_c.reference_value),
+        "matches_reference": rep_c.matches_reference,
+        "convention": rep_c.convention_note,
+    }
     return doc

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quadalg import fock3
 from quadalg.cli import main
 
 
@@ -226,6 +227,36 @@ def test_max_dim_cap(capsys, monkeypatch):
                        "--k", "1/2", "--l", "1/4", "--dim", "100")
     assert code == 2
     assert "QUADALG_MAX_DIM" in err
+
+
+def test_max_dim_cap_applies_to_verify(capsys, monkeypatch):
+    # 9^3 = 729 Fock states: rejected before the Fock space is built
+    monkeypatch.setenv("QUADALG_MAX_DIM", "100")
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("FockSpace built despite the dimension cap")
+
+    monkeypatch.setattr(fock3, "FockSpace", no_allocation)
+    code, out, err = run(capsys, "verify", "--sector", "compact", "--cutoffs", "8")
+    assert code == 2 and out == ""
+    assert "729" in err and "QUADALG_MAX_DIM" in err
+
+
+@pytest.mark.parametrize("param", ["nan", "inf", "-inf+1j", "1+nanj"])
+def test_non_finite_param_exits_2(capsys, param):
+    code, out, err = run(capsys, "coherent", "--family", "bg", "--k", "1/2", "--l", "1/4",
+                         f"--param={param}")
+    assert code == 2 and out == ""
+    assert "finite" in err and "Traceback" not in err
+
+
+def test_arithmetic_error_exits_3(capsys):
+    # the perelomov-nc norm series overflows a float at this size
+    code, out, err = run(capsys, "coherent", "--family", "perelomov-nc", "--k", "1/2",
+                         "--l", "1/4", "--param", "0.9", "--dim", "4000")
+    assert code == 3 and out == ""
+    assert err.startswith("error: OverflowError") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_help_exits_0(capsys):

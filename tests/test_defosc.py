@@ -39,8 +39,11 @@ def test_deform_rejects_noncompact():
 def test_lowest_vector_annihilated_exactly():
     for twok, step in [(1, 2), (2, 4), (4, 3)]:
         k = F(twok, 2)
-        osc = deform(reps.compact_rep(AlgebraLabel.compact(k, (k + step) / 2)))
-        assert not np.any(osc.a_mat[:, 0])
+        rep = reps.compact_rep(AlgebraLabel.compact(k, (k + step) / 2))
+        osc = deform(rep)
+        a_mat = np.diag(osc.lowering, 1)
+        assert np.array_equal(a_mat, rep.qm / osc.scale)
+        assert not np.any(a_mat[:, 0])
 
 
 def test_commutator_contract_grid():

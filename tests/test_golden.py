@@ -1,0 +1,219 @@
+"""Byte-exact stdout of the ladder commands, pinned by sha256.
+
+The digests were recorded from the dense-matrix implementation of the
+ladder representations.  The band formulas perform the same float
+operations (every other term of a bidiagonal matrix product is an exact
+zero), so every byte of ``rep``, ``casimir``, ``deform`` and the BG
+eigen-residual of ``coherent`` must stay as it was.  Covered: all four
+sectors at d = 1, 2, 16 and 512, both output formats, the d = 512
+deformation and the canonical fermion.
+"""
+
+import hashlib
+
+import pytest
+
+from quadalg.cli import main
+
+# argv -> (exit code, sha256 of stdout)
+GOLDEN = {
+    "rep --sector=compact --k=1/2 --l=1/4 --format=json":
+        (0, "85e3a58473d058eaa9d6cad3a688cfa478e98d42859a32dee0782926b79eb854"),
+    "rep --sector=compact --k=1/2 --l=1/4 --format=csv":
+        (0, "efbe8ad8d16d7842113fb0522cb9c0221366f3076a09a5933c9618f2cebadb84"),
+    "casimir --sector=compact --k=1/2 --l=1/4 --format=json":
+        (0, "d2e94a899c31971ca8cab7f259c0b22293a455f6c4ed24fcfb7eba93835a9dc9"),
+    "casimir --sector=compact --k=1/2 --l=1/4 --format=csv":
+        (0, "1bf7d7af41c3ea9be90018da5b79dd0ac9ead5675e86732d952bb9dee246cafa"),
+    "rep --sector=compact --k=1 --l=1 --format=json":
+        (0, "f4267c59c67f7fe0f1e8609e57d43b0f7ad81b1e0ef3a5e1bba85fe365ffd64b"),
+    "rep --sector=compact --k=1 --l=1 --format=csv":
+        (0, "6269cc10f6fda467db4e9f2df875201efce83472995959022c677e6e238085d4"),
+    "casimir --sector=compact --k=1 --l=1 --format=json":
+        (0, "489511aa74483422a0f45c2f47fd75d22ed1474b6a5ecfc9df8edb78414afe6f"),
+    "casimir --sector=compact --k=1 --l=1 --format=csv":
+        (0, "9dc74dd2bf123f9ba18f217fd1924b799fec146bdf6722135094832968bcc097"),
+    "rep --sector=compact --k=3/2 --l=33/4 --format=json":
+        (0, "853b7ac91e41e20d6fddf9b3303d9ef8169a6cd907d1970749581efb82084189"),
+    "rep --sector=compact --k=3/2 --l=33/4 --format=csv":
+        (0, "59788fde229b3b56225f3d7a89156f22cd9f1f87de7a3340f61636afcd3151bc"),
+    "casimir --sector=compact --k=3/2 --l=33/4 --format=json":
+        (0, "f8ccee5e4eecb84d135c21881035cec0c0bdbd415eebaabe472341a98498318e"),
+    "casimir --sector=compact --k=3/2 --l=33/4 --format=csv":
+        (0, "ebad175b0fda37dcffea21624fbdda4f92df5f3f722da20773e49831c102890a"),
+    "rep --sector=compact --k=1/2 --l=1023/4 --format=json":
+        (0, "5f541d4aa2e03232c4eb6e4645d018ae5ea407ca917d51b025095ab34f28bf6a"),
+    "rep --sector=compact --k=1/2 --l=1023/4 --format=csv":
+        (0, "9b5b75d5dda4f64fe93f7fc1cad5326c03cf6a1c859abdbd6c3811d797b1bed0"),
+    "casimir --sector=compact --k=1/2 --l=1023/4 --format=json":
+        (0, "7398a1bdf5b50d9053d679a23384275504441e21aef3bd5dceef95cc1bd2f403"),
+    "casimir --sector=compact --k=1/2 --l=1023/4 --format=csv":
+        (0, "6ca0e95faac87cc39b1002a3cd3f7b025a1319f169e6a67ac641b12eff057357"),
+    "rep --sector=noncompact --k=1/2 --l=1/4 --dim=1 --format=json":
+        (0, "dd1bfc7e319b74ecf891f4ed2c1af87b409b570ac110a164f4c056e703d4c53d"),
+    "rep --sector=noncompact --k=1/2 --l=1/4 --dim=1 --format=csv":
+        (0, "efbe8ad8d16d7842113fb0522cb9c0221366f3076a09a5933c9618f2cebadb84"),
+    "casimir --sector=noncompact --k=1/2 --l=1/4 --dim=1 --format=json":
+        (0, "0f9ce83143db4abc739967e57646dbaaa342c7d88640301f507ea4b9adc8b30d"),
+    "casimir --sector=noncompact --k=1/2 --l=1/4 --dim=1 --format=csv":
+        (0, "e307b86b15bbb84a73673164107931c035208a472724cf8739942a8e3895a48f"),
+    "rep --sector=noncompact --k=1/2 --l=1/4 --dim=2 --format=json":
+        (0, "f3f220199971446c0bd165e85f9294ba07a82653b4f788f35ce2688450c9822b"),
+    "rep --sector=noncompact --k=1/2 --l=1/4 --dim=2 --format=csv":
+        (0, "dda341183cfb1492f7662123b2ee9607c884875ebe2606d78f7c0e223e588011"),
+    "casimir --sector=noncompact --k=1/2 --l=1/4 --dim=2 --format=json":
+        (0, "8083320f8a2d762b808ca577a7df7261dfcaf890896bce740aa9e7b31b1c76d7"),
+    "casimir --sector=noncompact --k=1/2 --l=1/4 --dim=2 --format=csv":
+        (0, "6d79b0161bbe5b77e72d543058667e257efd310fdce6dc2c6b89757c501bd5fa"),
+    "rep --sector=noncompact --k=1/2 --l=1/4 --dim=16 --format=json":
+        (0, "63c2b6f7cfccf459db42f0cab1c0144ab0a2022f78563928d10cf89dc5f4a422"),
+    "rep --sector=noncompact --k=1/2 --l=1/4 --dim=16 --format=csv":
+        (0, "ddb7013dab958c4a9f8d622fc5760b263b798290c7356c1a29d333d85307564b"),
+    "casimir --sector=noncompact --k=1/2 --l=1/4 --dim=16 --format=json":
+        (0, "2d56f292c08780e225845c4f83686b8800ff945986df30e33a45a4f7ae4f15da"),
+    "casimir --sector=noncompact --k=1/2 --l=1/4 --dim=16 --format=csv":
+        (0, "4e0ff0baabea48191b848b17c1c32812427a303edc4996ddc2e75c687a065f0e"),
+    "rep --sector=noncompact --k=1/2 --l=1/4 --dim=512 --format=json":
+        (0, "f04fbd72fe268faa4964ae4610054ee15df39c0f1343abb80ad4538a1d11a8e0"),
+    "rep --sector=noncompact --k=1/2 --l=1/4 --dim=512 --format=csv":
+        (0, "5ba5350eee1302593d3cbc2f34e66c597ae13ae55282ffb892b2eaad0337f9aa"),
+    "casimir --sector=noncompact --k=1/2 --l=1/4 --dim=512 --format=json":
+        (0, "3eacae1ba410830f0b187a3657a4609ed8993b232d21543b0181a1bcb1dd7580"),
+    "casimir --sector=noncompact --k=1/2 --l=1/4 --dim=512 --format=csv":
+        (0, "e6dcf75aa68e4a8b5254098eb9badb669c564be96d8bd3821e7e10c462669df0"),
+    "rep --sector=noncompact --k=3/2 --l=-1/4 --dim=16 --format=json":
+        (0, "b22af7b7b23a7fb83bf645c8110c9b9ae8867e59e687f3dfc7d7a8c4ebd22593"),
+    "rep --sector=noncompact --k=3/2 --l=-1/4 --dim=16 --format=csv":
+        (0, "c7e03f5a3f16bd0ab1a9696f5a2747a3769880546c1cecd2bd2294bc08560227"),
+    "casimir --sector=noncompact --k=3/2 --l=-1/4 --dim=16 --format=json":
+        (0, "fa8052b06869a4214a5db8d79771bfed32306981d8dd3dcf0a4e5ae06b6ed81b"),
+    "casimir --sector=noncompact --k=3/2 --l=-1/4 --dim=16 --format=csv":
+        (0, "51bcce2d9d8e0b1643abe3af1fddcfa9aa09e7c68789433644350838e84cd264"),
+    "rep --sector=noncompact --k=5/2 --l=3/4 --dim=16 --format=json":
+        (0, "0caa4a327d623c5ca38e53743c713fb62bde43f6ac04545d5e801b8bbe9d7da7"),
+    "rep --sector=noncompact --k=5/2 --l=3/4 --dim=16 --format=csv":
+        (0, "afe99fcbbd071a3b7ad4de24e54aed46ef3481355a008ffec8bcabb513e39668"),
+    "casimir --sector=noncompact --k=5/2 --l=3/4 --dim=16 --format=json":
+        (0, "8871fc6c3cb2ffb4c72dca5a414a3639a9e3d84187526fd870bdcb9b43302b69"),
+    "casimir --sector=noncompact --k=5/2 --l=3/4 --dim=16 --format=csv":
+        (0, "c079eda5d22fc1da15500cafdf4c6d52612bc4ae5855e1751f7a8b760d1ac49d"),
+    "rep --sector=su2 --j=0 --format=json":
+        (0, "6aed408910943a486aada06f0346da722117d862c47f49804dbbb795bda50bf2"),
+    "rep --sector=su2 --j=0 --format=csv":
+        (0, "fe4c072e37957ac2b2e4057d145292a06e30f4f3913a120b6c7cd74520d22732"),
+    "casimir --sector=su2 --j=0 --format=json":
+        (0, "2d38478ab7a597341162e92c25d0b97686a1f6d2e5a229a0f3c96a053c3a86b9"),
+    "casimir --sector=su2 --j=0 --format=csv":
+        (0, "09e30b9cb3da9352cf5192ae4f46ed14052c546eeef9fa6aeb9a5e42ea4421c8"),
+    "rep --sector=su2 --j=1/2 --format=json":
+        (0, "42720b106cf36430b0c220c826ef8c0ace92123a98523e038ca13870b6374849"),
+    "rep --sector=su2 --j=1/2 --format=csv":
+        (0, "b9318586a00bdab0024437059166e0294084494b5398b9a41b5c85dd0f04c859"),
+    "casimir --sector=su2 --j=1/2 --format=json":
+        (0, "1706a7ac6f350fc2588b127259dad72cd816bc74e2a706fdfe4ac8c522e9b2a8"),
+    "casimir --sector=su2 --j=1/2 --format=csv":
+        (0, "dbecbf186d46addda361a167f60457ac31a2617825d6c3354e8ddef0e7588a93"),
+    "rep --sector=su2 --j=15/2 --format=json":
+        (0, "38de7f38b1c365f310d5101bca3e4fb76b7b1610d2cd7cd81735cb1cdc2ae620"),
+    "rep --sector=su2 --j=15/2 --format=csv":
+        (0, "2d0199f7763e0033256ea69f39544c8c5e6c55085022cfa2385ff1b13d8d202c"),
+    "casimir --sector=su2 --j=15/2 --format=json":
+        (0, "6083d2901d8a359c7a6ef847d75611a4ffefaf04f84e36526af7c98bd25af8b4"),
+    "casimir --sector=su2 --j=15/2 --format=csv":
+        (0, "59307e3ef5d281700c3c004f4a709c7fdcd89dc467f2bbb6de695048bfb06350"),
+    "rep --sector=su2 --j=511/2 --format=json":
+        (0, "bd337d5a89b44f10e5cf0c07dca29f77aa13aa9b92dadc3011a14f7ee5d2e077"),
+    "rep --sector=su2 --j=511/2 --format=csv":
+        (0, "c3239cf8cccfc26139578eee99df05be694ab23a5e9a3f36fba710e1d6d464f1"),
+    "casimir --sector=su2 --j=511/2 --format=json":
+        (0, "68352a186d2240db0988a7140f0f50e9b9142b577ad43f660d2069d0af9c4f4b"),
+    "casimir --sector=su2 --j=511/2 --format=csv":
+        (0, "1070ddcfef9a1731ead4f0f9c886de87aafdf705b514428e50bee77fe2a6c710"),
+    "rep --sector=su11 --k=1 --dim=1 --format=json":
+        (0, "f3de303f7c7184ad9cf718defa37567a9fb483a7e281c8a69637ea4c750b4ffb"),
+    "rep --sector=su11 --k=1 --dim=1 --format=csv":
+        (0, "d388da4f872caef59f5ade88091088b1933cb45cbee568f972eda5e617bfca13"),
+    "casimir --sector=su11 --k=1 --dim=1 --format=json":
+        (0, "296753d0d328b5ebc71f3713bdd54188810acd1d5b6e95668e348eb37e6be809"),
+    "casimir --sector=su11 --k=1 --dim=1 --format=csv":
+        (0, "a323519542563de14f6409ebcccc07f31df27470b9f054655e6eadd13a21523d"),
+    "rep --sector=su11 --k=1 --dim=2 --format=json":
+        (0, "6cb07512ffce07eb94976905418e298796e0274cab3bf7322cabe4d70dcfc3be"),
+    "rep --sector=su11 --k=1 --dim=2 --format=csv":
+        (0, "f870b5d2170591f43b70bbf9c2b2eceebed437e9d53380469e574bcffc612222"),
+    "casimir --sector=su11 --k=1 --dim=2 --format=json":
+        (0, "85b09ef7abc34b3b7f0ffc6c1f97ecc9e3dce2150696025f4a92423c0e1bba07"),
+    "casimir --sector=su11 --k=1 --dim=2 --format=csv":
+        (0, "332d3942bf83745356d70e8266464c129b1d2d770f206264a845483ea93c69f3"),
+    "rep --sector=su11 --k=1 --dim=16 --format=json":
+        (0, "860215bac96bba9737008362ee7114874c165fc8479832c12c220425bd160b65"),
+    "rep --sector=su11 --k=1 --dim=16 --format=csv":
+        (0, "640b73e4a05a6389716762c135fce267fc073da3ee77344de7f469816bc3e72d"),
+    "casimir --sector=su11 --k=1 --dim=16 --format=json":
+        (0, "e1e89dd02a5609ad062de6b52cff405708a7403a885d63e715918bd6b80bec73"),
+    "casimir --sector=su11 --k=1 --dim=16 --format=csv":
+        (0, "b22156865f752b262074cc9ed48c39a2fefb7ad48e9497859b4b5a0c3c6b42c8"),
+    "rep --sector=su11 --k=1 --dim=512 --format=json":
+        (0, "867f42d815e4ff39f66320a1ad399c54512aab328c50be3604ab171640b16ac4"),
+    "rep --sector=su11 --k=1 --dim=512 --format=csv":
+        (0, "0b4ac279dd4f162e8e986ffbd772b3e67b0e9158ddcefabf11c0cad9d0b6aae8"),
+    "casimir --sector=su11 --k=1 --dim=512 --format=json":
+        (0, "f0e9ce10d5494e3d076cfab35fe6d569436a160917a224ab194ed695ed3c19a8"),
+    "casimir --sector=su11 --k=1 --dim=512 --format=csv":
+        (0, "b3b09f875a47023dac517e41efe09d45a54c5d87f3b8a6e299afc313ed4c3c39"),
+    "rep --sector=su11 --k=1/2 --dim=16 --format=json":
+        (0, "e1f0777e57f2d8d6f5dd6708bfc2e55dd075c50f5cf7068d982068a0633b6cc9"),
+    "rep --sector=su11 --k=1/2 --dim=16 --format=csv":
+        (0, "dd922d3a5fb858f72e16ca95437d6c218542dd59f32d6672d2819f628443cc7b"),
+    "casimir --sector=su11 --k=1/2 --dim=16 --format=json":
+        (0, "fa5ea21e9992dfb591ff6d1d6048dc93b09d4d9906e27e118cd80a9ceb014ebf"),
+    "casimir --sector=su11 --k=1/2 --dim=16 --format=csv":
+        (0, "c7fa2183077fd0241b8e02f11663a536e42e4fef00598acdbc4041077a473319"),
+    "deform --k=1/2 --l=1/4 --format=json":
+        (0, "22e3509ef7b204701263ea8b7101526e962f7069b642415ab8bfcc1510969bca"),
+    "deform --k=1/2 --l=1/4 --format=csv":
+        (0, "17183417d502cb4e48ee29162aeb5f164489fb52b65efb07d89fa46cf0930ea5"),
+    "deform --k=1 --l=1 --format=json":
+        (0, "716fa171dae63828758858d375c2397fc9bd3f02683bf5df7a690b9c76b0ff55"),
+    "deform --k=1 --l=1 --format=csv":
+        (0, "cf5f69177484c70fc03316cbcb4436b58b9fc70d05e29b5e81ff2df7ea846732"),
+    "deform --k=3/2 --l=33/4 --format=json":
+        (0, "1215e526081726dbb1195ad483d4a79470c12655dfb27abd371bec6255cbb62c"),
+    "deform --k=3/2 --l=33/4 --format=csv":
+        (0, "883c84ca753df4779bd0ec242ba9128faa51dce7aa434b1494f5e9c092e6f914"),
+    "deform --k=1/2 --l=1023/4 --format=json":
+        (0, "1e12f392cf2eb3084ff66c7fd259e5ec9ff07541efdc91ae8b93243eb0fbfd8e"),
+    "deform --k=1/2 --l=1023/4 --format=csv":
+        (0, "80f0b01e6594540e797c9ef9d03a1850b833d8ed5e4b4c01e901d553af4fd1cc"),
+    "deform --fermion --format=json":
+        (0, "529fc03411a8723897d01bb872a3235ff779a9f60aa827944fc81def63e8d63c"),
+    "deform --fermion --format=csv":
+        (0, "7de38e11450384f44590d15ceb34f6df5278574528921ca7a9a264aeccaae7ab"),
+    "deform --k=1/2 --l=1023/4 --tol=0":
+        (3, "15fd005ba7d22fbaf1e9aacec7da8f293018371098601c566d9801060fb45444"),
+    "coherent --family=bg --k=1/2 --l=1/4 --param=1+1j":
+        (0, "a9b37775a62352b3f7e65781a55c900e5ae4fdc68b62a7fc912a287730b7c029"),
+    "coherent --family=bg --k=1/2 --l=1/4 --param=0.5":
+        (0, "065698400b5c848e5ca7acb2fea5dcf3451888e7ecf0c0fc90d8766afcc33fa8"),
+    "coherent --family=bg --k=1/2 --l=1/4 --param=60+80j":
+        (0, "55c4fc7f50ad717dcc6f9b5dfde038b36810acf935bc2c5a07c685077c39df6e"),
+    "coherent --family=bg --k=1/2 --l=1/4 --param=0":
+        (0, "cc9715c6da6397f473bf6c04996f8d434f7cea3ad7572684bd0a5b003c44ee1f"),
+    "coherent --family=bg --k=3/2 --l=1/4 --param=2-1j":
+        (0, "d9e70507ac80de6cd067a11730205f0a8413eef0559a00ed12787b3985bac213"),
+    "coherent --family=bg --k=1 --l=0 --param=0.3j --dim=16":
+        (0, "80511376ca1d643c696ef0df504c3d66a98248a6da85339f36c01f0392964fed"),
+    "coherent --family=bg --k=5/2 --l=3/4 --param=-4+0.5j --dim=64":
+        (0, "7920d2ad428c8a6988e33d570265fd27c54bb0a9d5af4ca17cb0b509e7061a59"),
+    "coherent --family=bg --k=1/2 --l=1/4 --param=0.5 --format=csv":
+        (0, "0f45e0f281de7d6e5190690ae0bed9060929484de874025edd98ff87f352f52f"),
+    "coherent --family=bg --k=1/2 --l=1/4 --param=3 --dim=4":
+        (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_stdout_bytes(argv, capsys):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadalg import polyalg, reps
-from quadalg.polyalg import RationalPoly, discrete_antiderivative, casimir_matrix
+from quadalg.polyalg import RationalPoly, discrete_antiderivative
+
+from dense_oracle import casimir_matrix, eval_matrix
 
 
 def test_normalization_strips_trailing_zeros():
@@ -74,6 +76,8 @@ def test_casimir_matrix_su2_half():
     g = discrete_antiderivative(polyalg.su2_structure())
     c = casimir_matrix(rep, g)
     assert np.array_equal(c, 0.75 * np.eye(2))
+    rc = reps.casimir_value(rep)
+    assert rc.value == 0.75 and rc.max_deviation == 0.0
 
 
 def test_casimir_matrix_compact_11_is_zero():
@@ -81,6 +85,8 @@ def test_casimir_matrix_compact_11_is_zero():
     g = discrete_antiderivative(polyalg.compact_structure(F(1), F(1)))
     c = casimir_matrix(rep, g)
     assert np.abs(c).max() < 1e-12
+    rc = reps.casimir_value(rep)
+    assert abs(rc.value) < 1e-12 and rc.max_deviation < 1e-12
     # closed form l^3 + (l+1)[k(1-k)-1] + 1 = 1 + 2*(0-1) + 1 = 0
     assert reps.reference_casimir(rep.label) == 0
 
@@ -89,10 +95,13 @@ def test_casimir_matrix_two_dim_family_k1():
     rep = reps.two_dim_family(1)
     c = casimir_matrix(rep, reps.casimir_poly(rep))
     assert np.abs(c).max() < 1e-12
+    rc = reps.casimir_value(rep)
+    assert abs(rc.value) < 1e-12 and rc.max_deviation < 1e-12
     assert F(-3 - 5 + 11 - 3, 8) == 0
 
 
 def test_casimir_matrix_rejects_mismatched_shapes():
+    # the dense oracle must not broadcast matrices of different sizes
     rep = reps.su2_rep(1)
 
     class Broken:
@@ -114,7 +123,7 @@ def test_both_casimir_forms_agree(rep):
     # lowering@raising + g(q0) must equal raising@lowering + g(q0 - 1)
     g = reps.casimir_poly(rep).poly
     d = rep.dim
-    lhs = rep.qm @ rep.qp + g.eval_matrix(rep.q0)
-    rhs = rep.qp @ rep.qm + g.eval_matrix(rep.q0 - np.eye(d))
+    lhs = rep.qm @ rep.qp + eval_matrix(g, rep.q0)
+    rhs = rep.qp @ rep.qm + eval_matrix(g, rep.q0 - np.eye(d))
     mask = rep.interior
     assert np.abs((lhs - rhs)[np.ix_(mask, mask)]).max() < 1e-10

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadalg import reps
+from quadalg import defosc, reps
 from quadalg.errors import InvalidLabelError
 from quadalg.reps import AlgebraLabel
+
+import dense_oracle
 
 
 def test_label_validation():
@@ -197,3 +199,34 @@ def test_serialization_schema():
 
     doc2 = reps.rep_to_dict(reps.su2_rep(1))
     assert doc2["sector"] == "su2" and doc2["j"] == "1"
+
+
+@st.composite
+def ladder_reps(draw):
+    """Representations of all four sectors; d = 1 and 2 are drawn often."""
+    d = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 48)))
+    sector = draw(st.sampled_from(["compact", "noncompact", "su2", "su11"]))
+    k = F(draw(st.integers(1, 12)), 2)
+    if sector == "compact":
+        return reps.compact_rep(AlgebraLabel.compact(k, (k + d - 1) / 2))
+    if sector == "noncompact":
+        step = draw(st.integers(0, 12))
+        return reps.noncompact_rep(AlgebraLabel.noncompact(k, (k - step) / 2), d)
+    if sector == "su2":
+        return reps.su2_rep(F(d - 1, 2))
+    return reps.su11_rep(k, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladder_reps())
+@example(reps.compact_rep(AlgebraLabel.compact(F(1, 2), F(1, 4))))
+@example(reps.noncompact_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 1))
+@example(reps.noncompact_rep(AlgebraLabel.noncompact(F(3, 2), F(-1, 4)), 2))
+def test_band_formulas_equal_dense_oracle(rep):
+    # bit-identical, not approximately equal: the dense products only add exact zeros
+    rc = reps.casimir_value(rep)
+    assert (rc.value, rc.max_deviation) == dense_oracle.casimir_value(rep)
+    assert reps.defining_relation_residuals(rep) == dense_oracle.defining_relation_residuals(rep)
+    if isinstance(rep.label, AlgebraLabel) and rep.label.sector == "compact":
+        osc = defosc.deform(rep)
+        assert defosc.commutator_residuals(osc) == dense_oracle.commutator_residuals(rep, osc)
