@@ -28,7 +28,7 @@ from .reps import (
     su11_rep,
     two_dim_family,
 )
-from .fock3 import FockSpace, RealizedOperators, ladder_matrices, realize_compact, realize_noncompact, realize_two_mode, verify_realization
+from .fock3 import FockSpace, RealizedOperators, realize_compact, realize_noncompact, realize_two_mode, verify_realization
 from .diffreal import DiffOp, MonomialBasis, build_realization, matrix_elements
 from .coherent import (
     CoherentState,

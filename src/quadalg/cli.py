@@ -56,6 +56,22 @@ def _complex(text: str) -> complex:
     return z
 
 
+def _finite_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number like '1e-8', got {text!r}")
+    return x
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _cutoffs(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p) for p in text.split(","))
@@ -90,12 +106,12 @@ def _build_rep(args) -> reps.Representation:
     if sector == "su11":
         if args.k is None:
             raise InvalidLabelError("--k is required for sector su11")
-        return reps.su11_rep(args.k, _check_dim(args.dim or 8))
+        return reps.su11_rep(args.k, _check_dim(8 if args.dim is None else args.dim))
     label = _label(args)
     if sector == "compact":
         _check_dim(label.dim)
         return reps.compact_rep(label)
-    return reps.noncompact_rep(label, _check_dim(args.dim or 16))
+    return reps.noncompact_rep(label, _check_dim(16 if args.dim is None else args.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +184,7 @@ def _cmd_diffcheck(args):
     kind = args.kind
     size = args.size
     if kind in ("su11", "noncompactQ"):
-        size = _check_dim(size or 8)
+        size = _check_dim(8 if size is None else size)
     if kind == "su2":
         if args.j is None:
             raise InvalidLabelError("--j is required for kind su2")
@@ -223,7 +239,7 @@ def _cmd_coherent(args):
     label = reps.AlgebraLabel(args.k, args.l, label_sector)
     cap = _max_dim()
     if args.family == "bg":
-        dim = _check_dim(args.dim) if args.dim else None
+        dim = None if args.dim is None else _check_dim(args.dim)
         state = coherent.bg_state(label, args.param, dim=dim, max_dim=cap)
         rep = reps.noncompact_rep(label, state.truncation)
         # |qm c - param c|, relative to |param| unless it is 0; (qm c)[n] = raising[n] c[n+1]
@@ -231,7 +247,8 @@ def _cmd_coherent(args):
         resid = np.linalg.norm(lowered - args.param * state.coeffs) / (abs(args.param) or 1.0)
         extra = {"eigen_residual": float(resid)}
     elif args.family == "perelomov-nc":
-        state = coherent.perelomov_noncompact(label, args.param, _check_dim(args.dim or 16))
+        state = coherent.perelomov_noncompact(label, args.param,
+                                              _check_dim(16 if args.dim is None else args.dim))
         extra = {}
     else:
         state = coherent.perelomov_compact(label, args.param,
@@ -400,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sector", choices=("compact", "noncompact", "su2", "su11"), required=True)
     p.add_argument("--cutoffs", type=_cutoffs, default=(8,),
                    help="per-mode cutoffs, e.g. '8' or '8,8,8'")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -430,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default="resolution")
     p.add_argument("--k", type=_frac)
     p.add_argument("--l", type=_frac)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--abs-tol", type=float, default=1e-9)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--r-max", type=float)
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--a", type=_finite_float)
+    p.add_argument("--b", type=_finite_float)
+    p.add_argument("--c", type=_finite_float)
+    p.add_argument("--max-n", type=_count, default=5)
+    p.add_argument("--abs-tol", type=_finite_float, default=1e-9)
+    p.add_argument("--rel-tol", type=_finite_float, default=1e-8)
+    p.add_argument("--r-max", type=_finite_float)
+    p.add_argument("--tol", type=_finite_float, default=1e-6,
                    help="acceptance threshold on deviations (exit 3 beyond)")
     add_common(p)
     p.set_defaults(func=_cmd_measure)
@@ -452,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_frac)
     p.add_argument("--l", type=_frac)
     p.add_argument("--fermion", action="store_true", help="run the canonical fermion check")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     add_common(p)
     p.set_defaults(func=_cmd_deform)
     return parser

@@ -1,7 +1,9 @@
 """Truncated multi-mode Fock spaces and bosonic realizations.
 
-The spaces are small (a few thousand states), so all operators are kept as
-dense arrays; construction goes through a sparse triplet build internally.
+Every realized ladder generator is a monomial in the mode ladder operators:
+on the occupation basis, one fixed shift of the occupations with one weight
+per state.  Realizations are stored as that per-state data and checked in
+O(states); dense matrices are built only on demand.
 Truncation policy: any amplitude raised past a mode cutoff is dropped, so
 operator products are only trusted on the *interior* states, whose orbits
 under short words of the realized ladder operators stay inside the cutoffs.
@@ -11,12 +13,12 @@ reports.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import polyalg
 
@@ -24,8 +26,8 @@ from . import polyalg
 class FockSpace:
     """Occupation-number basis with per-mode cutoffs, ordered lexicographically.
 
-    ``basis[i]`` is the i-th occupation tuple and ``index[t]`` its row, a
-    bijection by construction.
+    ``occupations[i]`` is the occupation vector of row i, and ``row`` maps
+    occupation vectors back to rows (-1 outside the cutoffs).
     """
 
     def __init__(self, cutoffs: Sequence[int]):
@@ -34,93 +36,97 @@ class FockSpace:
             raise ValueError(f"cutoffs must be non-negative, got {cutoffs}")
         self.cutoffs = cutoffs
         self.nmodes = len(cutoffs)
-        self.basis = tuple(itertools.product(*(range(c + 1) for c in cutoffs)))
-        self.index = {occ: i for i, occ in enumerate(self.basis)}
-        self.dim = len(self.basis)
+        self.shape = tuple(c + 1 for c in cutoffs)
+        self.occupations = np.indices(self.shape).reshape(self.nmodes, -1).T
+        self.dim = len(self.occupations)
+
+    def row(self, occ) -> np.ndarray:
+        """Rows of occupation vectors (modes on the last axis), -1 outside the box."""
+        occ = np.asarray(occ)
+        inside = ((occ >= 0) & (occ <= self.cutoffs)).all(axis=-1)
+        rows = np.ravel_multi_index(tuple(np.moveaxis(occ, -1, 0)), self.shape, mode="clip")
+        return np.where(inside, rows, -1)
 
     def __repr__(self):
         return f"FockSpace(cutoffs={self.cutoffs}, dim={self.dim})"
 
 
-def ladder_matrices(space: FockSpace) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-mode annihilation and creation matrices with dropped over-cutoff images.
-
-    a|..n..> = sqrt(n)|..n-1..> and adag|..n..> = sqrt(n+1)|..n+1..>; the
-    creation matrix is exactly the transpose of the annihilation matrix under
-    this truncation policy.
-    """
-    lower, raise_ = [], []
-    for mode in range(space.nmodes):
-        rows, cols, vals = [], [], []
-        for i, occ in enumerate(space.basis):
-            n = occ[mode]
-            if n > 0:
-                target = occ[:mode] + (n - 1,) + occ[mode + 1:]
-                rows.append(space.index[target])
-                cols.append(i)
-                vals.append(np.sqrt(n))
-        a = sparse.coo_matrix((vals, (rows, cols)), shape=(space.dim, space.dim)).toarray()
-        lower.append(a)
-        raise_.append(a.T.copy())
-    return lower, raise_
+def _dense_monomial(monomial: tuple[np.ndarray, np.ndarray], dim: int) -> np.ndarray:
+    target, weight = monomial
+    source = np.flatnonzero(target >= 0)
+    out = np.zeros((dim, dim))
+    out[target[source], source] = weight[source]
+    return out
 
 
 @dataclass
 class RealizedOperators:
-    """Generators realized on a truncated Fock space.
+    """Generators realized on a truncated Fock space, as per-state data.
 
-    ``interior_mask`` flags the basis states whose images under all words of
-    length <= 2 in the realized ladder operators stay inside the cutoffs;
-    equalities are only exact there.
+    ``q0_diag``, ``k_diag`` and ``l_diag`` are the diagonal generators
+    (``l_diag`` is None for the linear two-mode algebras).  ``raising`` and
+    ``lowering`` are the ladder monomials as (target row, weight) per source
+    row, target -1 where the image leaves the box.  ``interior_mask`` flags
+    the basis states whose images under all words of length <= 2 in the
+    realized ladder operators stay inside the cutoffs; equalities are only
+    exact there.
     """
 
     space: FockSpace
     sector: str
-    q0: np.ndarray
-    qp: np.ndarray
-    qm: np.ndarray
-    kmat: Optional[np.ndarray]
-    lmat: Optional[np.ndarray]
+    q0_diag: np.ndarray
+    k_diag: np.ndarray
+    l_diag: Optional[np.ndarray]
+    raising: tuple[np.ndarray, np.ndarray]
+    lowering: tuple[np.ndarray, np.ndarray]
     interior_mask: np.ndarray
+
+    # dense generators, built on first use
+    q0 = cached_property(lambda self: np.diag(self.q0_diag))
+    qp = cached_property(lambda self: _dense_monomial(self.raising, self.space.dim))
+    qm = cached_property(lambda self: _dense_monomial(self.lowering, self.space.dim))
+    kmat = cached_property(lambda self: np.diag(self.k_diag))
+    lmat = cached_property(lambda self: None if self.l_diag is None else np.diag(self.l_diag))
 
 
 # occupation change of the raising monomial, per sector
-_RAISE_MOVE = {
-    "compact": (1, 1, -1),
-    "noncompact": (1, 1, 1),
-    "su2": (1, -1),
-    "su11": (1, 1),
-}
+_RAISE_MOVE = {"compact": (1, 1, -1), "noncompact": (1, 1, 1), "su2": (1, -1), "su11": (1, 1)}
+
+# length of the ladder words whose orbits must stay inside the box
+DEPTH = 2
 
 
-def interior_mask(space: FockSpace, sector: str, depth: int = 2) -> np.ndarray:
-    """States whose orbit under words of length <= depth stays inside the box.
+def interior_mask(space: FockSpace, sector: str) -> np.ndarray:
+    """States whose orbit under words of length <= DEPTH stays inside the box.
 
     Every occupation path generated by words in the raising/lowering
-    monomials must keep 0 <= n_i <= cutoff_i at each step.  This is
+    monomials must keep 0 <= n_i <= cutoff_i at each step.  The constant words
+    reach the extremes n_i -+ DEPTH * |move_i|, so the mask is a box.  This is
     deliberately conservative: a path that leaves the box downward would be
-    annihilated exactly, but such states are still flagged as boundary, so
-    the mask never depends on cancellation arguments.
+    annihilated exactly, but such states are still flagged as boundary, so the
+    mask never depends on cancellation arguments.
     """
-    up = _RAISE_MOVE[sector]
-    down = tuple(-d for d in up)
-    mask = np.ones(space.dim, dtype=bool)
-    for i, occ in enumerate(space.basis):
-        for word in itertools.product((up, down), repeat=depth):
-            state = occ
-            for move in word:
-                state = tuple(n + d for n, d in zip(state, move))
-                if any(n < 0 or n > c for n, c in zip(state, space.cutoffs)):
-                    mask[i] = False
-                    break
-            if not mask[i]:
-                break
-    return mask
+    reach = DEPTH * np.abs(_RAISE_MOVE[sector])
+    occ = space.occupations
+    return ((occ >= reach) & (occ <= np.subtract(space.cutoffs, reach))).all(axis=1)
 
 
-def _diag_of(space: FockSpace, fn) -> np.ndarray:
-    """Diagonal operator with exact per-state entries fn(occupation)."""
-    return np.diag([float(fn(occ)) for occ in space.basis])
+def _monomial(space: FockSpace, move) -> tuple[np.ndarray, np.ndarray]:
+    """(target row, weight) of the monomial shifting each mode by ``move``.
+
+    Each mode contributes sqrt(n+1) (create) or sqrt(n) (annihilate), taken
+    at the source occupation and multiplied left to right in mode order: the
+    float the dense product of ladder matrices gives.
+    """
+    occ = space.occupations
+    factors = [np.sqrt(n + 1.0) if m > 0 else np.sqrt(n) for n, m in zip(occ.T, move)]
+    return space.row(occ + move), reduce(operator.mul, factors)
+
+
+def _realized(space: FockSpace, sector: str, q0, k, l) -> RealizedOperators:
+    move = np.array(_RAISE_MOVE[sector])
+    return RealizedOperators(space, sector, q0, k, l, _monomial(space, move),
+                             _monomial(space, -move), interior_mask(space, sector))
 
 
 def realize_compact(space: FockSpace) -> RealizedOperators:
@@ -131,14 +137,9 @@ def realize_compact(space: FockSpace) -> RealizedOperators:
     """
     if space.nmodes != 3:
         raise ValueError("compact realization needs a three-mode space")
-    (a1, a2, a3), (c1, c2, c3) = ladder_matrices(space)
-    q0 = _diag_of(space, lambda o: (o[0] + o[1] - 2 * o[2] + 1) / 4)
-    qp = c1 @ c2 @ a3
-    qm = a1 @ a2 @ c3
-    kmat = _diag_of(space, lambda o: (1 - (o[0] - o[1]) ** 2) / 4)
-    lmat = _diag_of(space, lambda o: (o[0] + o[1] + 2 * o[2] + 1) / 4)
-    return RealizedOperators(space, "compact", q0, qp, qm, kmat, lmat,
-                             interior_mask(space, "compact"))
+    n1, n2, n3 = space.occupations.T
+    return _realized(space, "compact", (n1 + n2 - 2 * n3 + 1) / 4,
+                     (1 - (n1 - n2) ** 2) / 4, (n1 + n2 + 2 * n3 + 1) / 4)
 
 
 def realize_noncompact(space: FockSpace) -> RealizedOperators:
@@ -149,14 +150,9 @@ def realize_noncompact(space: FockSpace) -> RealizedOperators:
     """
     if space.nmodes != 3:
         raise ValueError("noncompact realization needs a three-mode space")
-    (a1, a2, a3), (c1, c2, c3) = ladder_matrices(space)
-    q0 = _diag_of(space, lambda o: (o[0] + o[1] + 2 * o[2] + 1) / 4)
-    qp = c1 @ c2 @ c3
-    qm = a1 @ a2 @ a3
-    kmat = _diag_of(space, lambda o: (1 - (o[0] - o[1]) ** 2) / 4)
-    lmat = _diag_of(space, lambda o: (o[0] + o[1] - 2 * o[2] + 1) / 4)
-    return RealizedOperators(space, "noncompact", q0, qp, qm, kmat, lmat,
-                             interior_mask(space, "noncompact"))
+    n1, n2, n3 = space.occupations.T
+    return _realized(space, "noncompact", (n1 + n2 + 2 * n3 + 1) / 4,
+                     (1 - (n1 - n2) ** 2) / 4, (n1 + n2 - 2 * n3 + 1) / 4)
 
 
 def realize_two_mode(kind: str, space: FockSpace) -> RealizedOperators:
@@ -169,19 +165,10 @@ def realize_two_mode(kind: str, space: FockSpace) -> RealizedOperators:
         raise ValueError("two-mode realization needs a two-mode space")
     if kind not in ("su2", "su11"):
         raise ValueError(f"kind must be 'su2' or 'su11', got {kind!r}")
-    (a1, a2), (c1, c2) = ladder_matrices(space)
+    n1, n2 = space.occupations.T
     if kind == "su2":
-        q0 = _diag_of(space, lambda o: (o[0] - o[1]) / 2)
-        qp = c1 @ a2
-        qm = a1 @ c2
-        kmat = _diag_of(space, lambda o: (o[0] + o[1]) * (o[0] + o[1] + 2) / 4)
-    else:
-        q0 = _diag_of(space, lambda o: (o[0] + o[1] + 1) / 2)
-        qp = c1 @ c2
-        qm = a1 @ a2
-        kmat = _diag_of(space, lambda o: (1 - (o[0] - o[1]) ** 2) / 4)
-    return RealizedOperators(space, kind, q0, qp, qm, kmat, None,
-                             interior_mask(space, kind))
+        return _realized(space, kind, (n1 - n2) / 2, (n1 + n2) * (n1 + n2 + 2) / 4, None)
+    return _realized(space, kind, (n1 + n2 + 1) / 2, (1 - (n1 - n2) ** 2) / 4, None)
 
 
 @dataclass
@@ -199,55 +186,52 @@ class RealizationReport:
         return max(self.residuals.values()) if self.residuals else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "sector": self.sector,
-            "dim": self.dim,
-            "interior_count": self.interior_count,
-            "boundary_count": self.boundary_count,
-            "residuals": dict(self.residuals),
-            "max_residual": self.max_residual,
-        }
+        return {**asdict(self), "max_residual": self.max_residual}
 
 
-def _structure_matrix(ops: RealizedOperators) -> np.ndarray:
-    """Expected [raising, lowering] with the diagonal invariants as matrices."""
-    eye = np.eye(ops.space.dim)
-    q0, km, lm = ops.q0, ops.kmat, ops.lmat
+def _structure_diag(ops: RealizedOperators) -> np.ndarray:
+    """Expected [raising, lowering], diagonal in the diagonal invariants."""
+    q0, k, l = ops.q0_diag, ops.k_diag, ops.l_diag
     if ops.sector == "compact":
-        return 3 * q0 @ q0 + (2 * lm - eye) @ q0 + (km - lm @ (lm + eye))
+        return (3 * q0 * q0 + (2 * l - 1) * q0) + (k - l * (l + 1))
     if ops.sector == "noncompact":
-        return -3 * q0 @ q0 - (2 * lm + eye) @ q0 - (km - lm @ (lm - eye))
+        return (-3 * q0 * q0 - (2 * l + 1) * q0) - (k - l * (l - 1))
     sign = 2.0 if ops.sector == "su2" else -2.0
     return sign * q0
 
 
 def verify_realization(ops: RealizedOperators) -> RealizationReport:
-    """Report interior residuals of every defining relation of the realization."""
-    mask = ops.interior_mask
+    """Report interior residuals of every defining relation of the realization.
 
-    def resid(m: np.ndarray) -> float:
-        return float(np.abs(m[:, mask]).max(initial=0.0))
+    Column s of a commutator [D, G] of a diagonal D with a monomial G mapping
+    s to t with weight w has the single entry D[t] w - w D[s]; [qp, qm] is
+    diagonal.  Each residual is evaluated on these entries with the float
+    operations of the dense matrix products, whose other terms are exact zeros.
+    """
+    s = np.flatnonzero(ops.interior_mask)
+    (up, w_up), (down, w_down) = ops.raising, ops.lowering
+    t, wp, u, wm = up[s], w_up[s], down[s], w_down[s]
 
-    comm = lambda a, b: a @ b - b @ a
+    def resid(v: np.ndarray) -> float:
+        return float(np.abs(v).max(initial=0.0))
+
+    def comm(d: np.ndarray, target: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return d[target] * w - w * d[s]
+
+    q0 = ops.q0_diag
     residuals = {
-        "q0_qp": resid(comm(ops.q0, ops.qp) - ops.qp),
-        "q0_qm": resid(comm(ops.q0, ops.qm) + ops.qm),
-        "qp_qm": resid(comm(ops.qp, ops.qm) - _structure_matrix(ops)),
+        "q0_qp": resid(comm(q0, t, wp) - wp),
+        "q0_qm": resid(comm(q0, u, wm) + wm),
+        "qp_qm": resid((w_up[u] * wm - w_down[t] * wp) - _structure_diag(ops)[s]),
     }
-    diagonals = {"k": ops.kmat, "l": ops.lmat}
-    for name, d in diagonals.items():
+    for name, d in (("k", ops.k_diag), ("l", ops.l_diag)):
         if d is None:
             continue
-        for gname, g in (("q0", ops.q0), ("qp", ops.qp), ("qm", ops.qm)):
-            residuals[f"{name}_{gname}"] = resid(comm(d, g))
-    if ops.kmat is not None and ops.lmat is not None:
-        residuals["k_l"] = resid(comm(ops.kmat, ops.lmat))
-    n_int = int(mask.sum())
-    return RealizationReport(
-        sector=ops.sector, dim=ops.space.dim,
-        interior_count=n_int, boundary_count=ops.space.dim - n_int,
-        residuals=residuals,
-    )
+        for gname, target, w in (("q0", s, q0[s]), ("qp", t, wp), ("qm", u, wm)):
+            residuals[f"{name}_{gname}"] = resid(comm(d, target, w))
+    if ops.l_diag is not None:
+        residuals["k_l"] = resid(comm(ops.k_diag, s, ops.l_diag[s]))
+    return RealizationReport(ops.sector, ops.space.dim, len(s), ops.space.dim - len(s), residuals)
 
 
 def eigenspace_states(ops: RealizedOperators, k, l) -> list[list[int]]:
@@ -257,28 +241,19 @@ def eigenspace_states(ops: RealizedOperators, k, l) -> list[list[int]]:
     two occupation assignments related by swapping the first two modes), for
     k = 1/2 one.
     """
-    k = polyalg.as_fraction(k)
-    l = polyalg.as_fraction(l)
+    k, l = polyalg.as_fraction(k), polyalg.as_fraction(l)
     delta = int(2 * k - 1)
+    compact = ops.sector == "compact"
+    step = 2 * l - k if compact else k - 2 * l
+    if step < 0 or step.denominator != 1:
+        return []
+    # (n, n + delta, n3) for n = 0, 1, ... up to the top state or the edge of the box
+    n = np.arange(int(step) + 1 if compact else max(ops.space.cutoffs) + 2)
+    n3 = int(step) - n if compact else n + int(step)
     chains = []
-    swaps = (False,) if delta == 0 else (False, True)
-    for swapped in swaps:
-        chain = []
-        n = 0
-        while True:
-            if ops.sector == "compact":
-                n3 = 2 * l - k - n
-            else:
-                n3 = n + k - 2 * l
-            if n3 < 0 or n3.denominator != 1:
-                break
-            occ = (n, n + delta, int(n3)) if not swapped else (n + delta, n, int(n3))
-            if occ not in ops.space.index:
-                break
-            chain.append(ops.space.index[occ])
-            if ops.sector == "compact" and n == int(2 * l - k):
-                break
-            n += 1
+    for pair in ((n, n + delta), (n + delta, n))[:2 if delta else 1]:
+        rows = ops.space.row(np.stack([*pair, n3], axis=1))
+        chain = rows[np.logical_and.accumulate(rows >= 0)].tolist()
         if chain:
             chains.append(chain)
     return chains

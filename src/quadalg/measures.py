@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from scipy import integrate
-
 from .errors import QuadratureError
 from .polyalg import as_fraction
 from .reps import AlgebraLabel
@@ -55,12 +53,13 @@ class MomentTarget:
     ratio_to_first: Fraction
 
 
-def _noncompact_gammas(label: AlgebraLabel, n: int) -> float:
+def _noncompact_gammas(label: AlgebraLabel, n: int, sign: int = 1) -> float:
+    """n! ((2k)_n (s+1)_n)^sign, through log-gammas."""
     k = float(label.k)
     s = label.step
     return math.exp(math.lgamma(n + 1)
-                    + math.lgamma(2 * k + n) - math.lgamma(2 * k)
-                    + math.lgamma(s + 1 + n) - math.lgamma(s + 1.0))
+                    + sign * math.lgamma(2 * k + n) - sign * math.lgamma(2 * k)
+                    + sign * math.lgamma(s + 1 + n) - sign * math.lgamma(s + 1.0))
 
 
 def bg_moment_target(label: AlgebraLabel, n: int) -> MomentTarget:
@@ -80,7 +79,7 @@ def perelomov_moment_target(label: AlgebraLabel, n: int) -> MomentTarget:
     if n < 0:
         raise ValueError("moment index must be >= 0")
     ratio = Fraction(math.factorial(n)) / (rising(2 * label.k, n) * rising(label.step + 1, n))
-    return MomentTarget(label, n, 2.0 / _noncompact_gammas(label, n) / TWO_PI, ratio)
+    return MomentTarget(label, n, 2.0 * _noncompact_gammas(label, n, -1) / TWO_PI, ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +187,8 @@ def _integrate_moment(f: Callable[[float], float], r_max: float, epsabs: float,
     points = [10.0 ** j for j in range(decades) if 10.0 ** j < r_max]
     if len(points) + 2 > spec.limit:
         points = None
+    from scipy import integrate  # deferred: it is most of the package's import time
+
     value, abserr, info = integrate.quad(
         f, 0.0, r_max, epsabs=epsabs, epsrel=spec.rel_tol,
         limit=spec.limit, points=points, full_output=True)[:3]

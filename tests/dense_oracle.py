@@ -1,12 +1,17 @@
-"""Dense-matrix reference for the band formulas of ``reps`` and ``defosc``.
+"""Dense-matrix reference for the band formulas of ``reps``, ``defosc`` and ``fock3``.
 
 These are the contractions the library performed before a ladder
-representation became band data: full d x d matrix products and Horner's
-rule over matrices.  They are kept here only as a test oracle; the band
-formulas must reproduce them bit for bit.
+representation became band data and a Fock realization per-state data:
+full d x d matrix products and Horner's rule over matrices.  They are kept
+here only as a test oracle; the library formulas must reproduce them bit
+for bit.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
+from scipy import sparse
 
 from quadalg import reps
 from quadalg.polyalg import CasimirPoly
@@ -65,3 +70,119 @@ def commutator_residuals(rep, osc):
         "n_adag": float(np.abs((n @ ad - ad @ n) - ad).max()),
         "a_adag": float(np.abs((a @ ad - ad @ a) - eval_matrix(osc.f_poly, n)).max()),
     }
+
+
+# ---------------------------------------------------------------------------
+# Fock realizations: the dense construction and verification that ``fock3``
+# performed before a realization became per-state data.  The basis and the
+# interior mask are rebuilt here from tuples, independently of ``FockSpace``.
+
+_RAISE_MOVE = {"compact": (1, 1, -1), "noncompact": (1, 1, 1), "su2": (1, -1), "su11": (1, 1)}
+
+
+def fock_basis(cutoffs):
+    """Lexicographic occupation tuples and their row index."""
+    basis = tuple(itertools.product(*(range(c + 1) for c in cutoffs)))
+    return basis, {occ: i for i, occ in enumerate(basis)}
+
+
+def ladder_matrices(space):
+    """Dense per-mode annihilation and creation matrices, over-cutoff images dropped."""
+    basis, index = fock_basis(space.cutoffs)
+    dim = len(basis)
+    lower, raise_ = [], []
+    for mode in range(len(space.cutoffs)):
+        rows, cols, vals = [], [], []
+        for i, occ in enumerate(basis):
+            n = occ[mode]
+            if n > 0:
+                rows.append(index[occ[:mode] + (n - 1,) + occ[mode + 1:]])
+                cols.append(i)
+                vals.append(np.sqrt(n))
+        a = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).toarray()
+        lower.append(a)
+        raise_.append(a.T.copy())
+    return lower, raise_
+
+
+def fock_interior_mask(cutoffs, sector, depth=2):
+    """States whose orbit under every word of length ``depth`` stays inside the box."""
+    basis, _ = fock_basis(cutoffs)
+    up = _RAISE_MOVE[sector]
+    down = tuple(-d for d in up)
+    mask = np.ones(len(basis), dtype=bool)
+    for i, occ in enumerate(basis):
+        for word in itertools.product((up, down), repeat=depth):
+            state = occ
+            for move in word:
+                state = tuple(n + d for n, d in zip(state, move))
+                if any(n < 0 or n > c for n, c in zip(state, cutoffs)):
+                    mask[i] = False
+                    break
+            if not mask[i]:
+                break
+    return mask
+
+
+def realize(sector, space):
+    """Dense generators q0, qp, qm, kmat, lmat (None for two-mode) of a realization."""
+    basis, _ = fock_basis(space.cutoffs)
+    diag = lambda fn: np.diag([float(fn(o)) for o in basis])
+    if sector in ("compact", "noncompact"):
+        (a1, a2, a3), (c1, c2, c3) = ladder_matrices(space)
+        grading = lambda o: (o[0] + o[1] - 2 * o[2] + 1) / 4
+        l_like = lambda o: (o[0] + o[1] + 2 * o[2] + 1) / 4
+        if sector == "compact":
+            q0, qp, qm, lmat = diag(grading), c1 @ c2 @ a3, a1 @ a2 @ c3, diag(l_like)
+        else:
+            q0, qp, qm, lmat = diag(l_like), c1 @ c2 @ c3, a1 @ a2 @ a3, diag(grading)
+        kmat = diag(lambda o: (1 - (o[0] - o[1]) ** 2) / 4)
+    else:
+        (a1, a2), (c1, c2) = ladder_matrices(space)
+        lmat = None
+        if sector == "su2":
+            q0, qp, qm = diag(lambda o: (o[0] - o[1]) / 2), c1 @ a2, a1 @ c2
+            kmat = diag(lambda o: (o[0] + o[1]) * (o[0] + o[1] + 2) / 4)
+        else:
+            q0, qp, qm = diag(lambda o: (o[0] + o[1] + 1) / 2), c1 @ c2, a1 @ a2
+            kmat = diag(lambda o: (1 - (o[0] - o[1]) ** 2) / 4)
+    return SimpleNamespace(sector=sector, dim=len(basis), q0=q0, qp=qp, qm=qm, kmat=kmat,
+                           lmat=lmat, interior_mask=fock_interior_mask(space.cutoffs, sector))
+
+
+def structure_matrix(ops):
+    """Expected [raising, lowering] with the diagonal invariants as matrices."""
+    eye = np.eye(ops.dim)
+    q0, km, lm = ops.q0, ops.kmat, ops.lmat
+    if ops.sector == "compact":
+        return 3 * q0 @ q0 + (2 * lm - eye) @ q0 + (km - lm @ (lm + eye))
+    if ops.sector == "noncompact":
+        return -3 * q0 @ q0 - (2 * lm + eye) @ q0 - (km - lm @ (lm - eye))
+    sign = 2.0 if ops.sector == "su2" else -2.0
+    return sign * q0
+
+
+def verify_realization(ops):
+    """The ``RealizationReport.to_dict()`` of the dense commutators on interior columns."""
+    mask = ops.interior_mask
+
+    def resid(m):
+        return float(np.abs(m[:, mask]).max(initial=0.0))
+
+    comm = lambda a, b: a @ b - b @ a
+    residuals = {
+        "q0_qp": resid(comm(ops.q0, ops.qp) - ops.qp),
+        "q0_qm": resid(comm(ops.q0, ops.qm) + ops.qm),
+        "qp_qm": resid(comm(ops.qp, ops.qm) - structure_matrix(ops)),
+    }
+    for name, d in (("k", ops.kmat), ("l", ops.lmat)):
+        if d is None:
+            continue
+        for gname, g in (("q0", ops.q0), ("qp", ops.qp), ("qm", ops.qm)):
+            residuals[f"{name}_{gname}"] = resid(comm(d, g))
+    if ops.lmat is not None:
+        residuals["k_l"] = resid(comm(ops.kmat, ops.lmat))
+    n_int = int(mask.sum())
+    return {"sector": ops.sector, "dim": ops.dim, "interior_count": n_int,
+            "boundary_count": ops.dim - n_int, "residuals": residuals,
+            "max_residual": max(residuals.values())}

@@ -242,12 +242,58 @@ def test_max_dim_cap_applies_to_verify(capsys, monkeypatch):
     assert "729" in err and "QUADALG_MAX_DIM" in err
 
 
-@pytest.mark.parametrize("param", ["nan", "inf", "-inf+1j", "1+nanj"])
-def test_non_finite_param_exits_2(capsys, param):
-    code, out, err = run(capsys, "coherent", "--family", "bg", "--k", "1/2", "--l", "1/4",
-                         f"--param={param}")
+BG = ("coherent", "--family=bg", "--k=1/2", "--l=1/4")
+KUMMER = ("measure", "--check=kummer", "--a=3", "--b=1", "--c=4")
+NON_FINITE = [pytest.param((*BG, f"--param={p}"), id=p) for p in ["nan", "inf", "-inf+1j", "1+nanj"]]
+NON_FINITE += [
+    pytest.param(("verify", "--sector=compact", "--cutoffs=6", f"--tol={x}"), id=f"verify-tol-{x}")
+    for x in ["nan", "inf"]
+] + [
+    pytest.param(("deform", "--k=1", "--l=1", "--tol=nan"), id="deform-tol-nan"),
+    pytest.param((*KUMMER, "--tol=-inf"), id="measure-tol--inf"),
+    pytest.param((*KUMMER, "--abs-tol=nan"), id="abs-tol-nan"),
+    pytest.param((*KUMMER, "--rel-tol=inf"), id="rel-tol-inf"),
+    pytest.param(("measure", "--k=1", "--l=1", "--r-max=nan"), id="r-max-nan"),
+    pytest.param(("measure", "--check=kummer", "--a=nan", "--b=1", "--c=4"), id="a-nan"),
+    pytest.param(("measure", "--check=kummer", "--a=3", "--b=inf", "--c=4"), id="b-inf"),
+    pytest.param(("measure", "--check=kummer", "--a=3", "--b=1", "--c=1e400"), id="c-1e400"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE)
+def test_non_finite_param_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "finite" in err and "Traceback" not in err
+
+
+# every site that used to replace an explicit 0 by its default size
+ZERO_SIZE = {
+    "rep-noncompact": ("rep", "--sector=noncompact", "--k=1/2", "--l=1/4", "--dim=0"),
+    "casimir-su11": ("casimir", "--sector=su11", "--k=1/2", "--dim=0"),
+    "diffcheck-su11": ("diffcheck", "--kind=su11", "--k=1/2", "--size=0"),
+    "diffcheck-noncompactQ": ("diffcheck", "--kind=noncompactQ", "--k=1/2", "--l=1/4", "--size=0"),
+    "perelomov-nc": ("coherent", "--family=perelomov-nc", "--k=1/2", "--l=1/4", "--param=0.5",
+                     "--dim=0"),
+    "bg": (*BG, "--param=0.5", "--dim=0"),
+}
+
+
+@pytest.mark.parametrize("argv", list(ZERO_SIZE.values()), ids=list(ZERO_SIZE))
+def test_explicit_zero_dim_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "dimension must be >= 1" in err
+
+
+def test_negative_max_n_exits_2(capsys):
+    code, out, err = run(capsys, "measure", "--check=bg-moments", "--k=1/2", "--l=1/4",
+                         "--max-n=-1")
+    assert code == 2 and out == ""
+    assert "non-negative" in err
+    code, out, _ = run(capsys, "measure", "--check=bg-moments", "--k=1/2", "--l=1/4",
+                       "--max-n=0")
+    assert code == 0 and len(json.loads(out)) == 1
 
 
 def test_arithmetic_error_exits_3(capsys):

@@ -5,9 +5,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadalg import fock3, reps
-from quadalg.fock3 import FockSpace, ladder_matrices
+from quadalg.fock3 import FockSpace
+
+import dense_oracle
+from dense_oracle import ladder_matrices
 
 
 @pytest.fixture(scope="module")
@@ -28,30 +33,37 @@ def noncompact888(space888):
 def test_space_indexing():
     space = FockSpace((2, 1, 1))
     assert space.dim == 3 * 2 * 2
-    assert space.basis[0] == (0, 0, 0)
-    assert space.basis[-1] == (2, 1, 1)
-    # lexicographic ordering and bijective index map
-    assert sorted(space.basis) == list(space.basis)
-    assert all(space.basis[space.index[occ]] == occ for occ in space.basis)
+    basis = [tuple(occ) for occ in space.occupations.tolist()]
+    assert basis[0] == (0, 0, 0)
+    assert basis[-1] == (2, 1, 1)
+    # lexicographic ordering, the oracle's tuple basis, and a bijective row lookup
+    assert sorted(basis) == basis
+    assert tuple(basis) == dense_oracle.fock_basis(space.cutoffs)[0]
+    assert np.array_equal(space.row(space.occupations), np.arange(space.dim))
+    assert int(space.row((1, 0, 1))) == basis.index((1, 0, 1))
+    # occupations outside the box have no row
+    for occ in [(3, 0, 0), (0, 2, 0), (0, 0, -1), (-1, 1, 1)]:
+        assert int(space.row(occ)) == -1
 
 
 def test_ladder_action():
     space = FockSpace((3, 2, 4))
+    basis, index = dense_oracle.fock_basis(space.cutoffs)
     lower, raise_ = ladder_matrices(space)
     # annihilating an empty mode gives zero
-    for occ in space.basis:
+    for occ in basis:
         if occ[0] == 0:
-            assert not np.any(lower[0][:, space.index[occ]])
+            assert not np.any(lower[0][:, index[occ]])
     # number operator is diagonal with the occupations
     for mode in range(3):
         num = raise_[mode] @ lower[mode]
-        expected = [occ[mode] for occ in space.basis]
+        expected = [occ[mode] for occ in basis]
         np.testing.assert_allclose(np.diag(num), expected, rtol=0, atol=1e-14)
         assert np.abs(num - np.diag(np.diag(num))).max() == 0
     # canonical commutator on columns below the cutoff
     for mode in range(3):
         comm = lower[mode] @ raise_[mode] - raise_[mode] @ lower[mode]
-        cols = [i for i, occ in enumerate(space.basis) if occ[mode] < space.cutoffs[mode]]
+        cols = [i for i, occ in enumerate(basis) if occ[mode] < space.cutoffs[mode]]
         assert np.abs((comm - np.eye(space.dim))[:, cols]).max() < 1e-14
 
 
@@ -65,11 +77,11 @@ def test_creation_is_transpose_of_annihilation():
 def test_compact_realization_examples(compact888):
     ops = compact888
     space = ops.space
-    i101 = space.index[(1, 0, 1)]
+    i101 = space.row((1, 0, 1))
     assert ops.lmat[i101, i101] == 1.0          # (1 + 0 + 2 + 1)/4
     # raising |0,1,1> -> sqrt(2) |1,2,0>
-    col = ops.qp[:, space.index[(0, 1, 1)]]
-    assert col[space.index[(1, 2, 0)]] == pytest.approx(math.sqrt(2), abs=0)
+    col = ops.qp[:, space.row((0, 1, 1))]
+    assert col[space.row((1, 2, 0))] == pytest.approx(math.sqrt(2), abs=0)
     assert np.count_nonzero(col) == 1
     # vacuum grading eigenvalue 1/4
     assert ops.q0[0, 0] == 0.25
@@ -78,28 +90,27 @@ def test_compact_realization_examples(compact888):
 def test_noncompact_realization_examples(noncompact888):
     ops = noncompact888
     space = ops.space
-    col = ops.qp[:, space.index[(0, 0, 0)]]
-    assert col[space.index[(1, 1, 1)]] == 1.0
+    col = ops.qp[:, space.row((0, 0, 0))]
+    assert col[space.row((1, 1, 1))] == 1.0
     assert np.count_nonzero(col) == 1
     for occ in [(0, 0, 0), (2, 1, 3), (5, 0, 1)]:
-        i = space.index[occ]
+        i = space.row(occ)
         assert ops.q0[i, i] == (occ[0] + occ[1] + 2 * occ[2] + 1) / 4
     # K eigenvalue 1/4 whenever the first two occupations agree
     for n, m in [(0, 0), (2, 1), (4, 3)]:
-        i = space.index[(n, n, m)]
+        i = space.row((n, n, m))
         assert ops.kmat[i, i] == 0.25
 
 
 def test_two_mode_realizations():
     space = FockSpace((4, 4))
     su2 = fock3.realize_two_mode("su2", space)
-    col = su2.qp[:, space.index[(0, 1)]]
-    assert col[space.index[(1, 0)]] == 1.0 and np.count_nonzero(col) == 1
+    col = su2.qp[:, space.row((0, 1))]
+    assert col[space.row((1, 0))] == 1.0 and np.count_nonzero(col) == 1
     su11 = fock3.realize_two_mode("su11", space)
-    col = su11.qp[:, space.index[(0, 0)]]
-    assert col[space.index[(1, 1)]] == 1.0 and np.count_nonzero(col) == 1
-    for occ in space.basis:
-        i = space.index[occ]
+    col = su11.qp[:, space.row((0, 0))]
+    assert col[space.row((1, 1))] == 1.0 and np.count_nonzero(col) == 1
+    for i, occ in enumerate(space.occupations.tolist()):
         assert su11.kmat[i, i] == (1 - (occ[0] - occ[1]) ** 2) / 4
     with pytest.raises(ValueError):
         fock3.realize_two_mode("su3", space)
@@ -193,3 +204,58 @@ def test_noncompact_matches_closed_form_rep(noncompact888):
     sel = np.ix_(chain, chain)
     assert np.abs(ops.qp[sel] - rep.qp).max() <= 1e-12
     assert np.abs(ops.q0[sel] - rep.q0).max() <= 1e-12
+
+
+@st.composite
+def realizations(draw):
+    """Realizations of all four sectors on small boxes, empty interiors included."""
+    sector = draw(st.sampled_from(["compact", "noncompact", "su2", "su11"]))
+    if sector in ("compact", "noncompact"):
+        cutoffs = draw(st.tuples(*[st.integers(0, 7)] * 3))
+        realize = fock3.realize_compact if sector == "compact" else fock3.realize_noncompact
+        return realize(FockSpace(cutoffs))
+    cutoffs = draw(st.tuples(st.integers(0, 25), st.integers(0, 25)))
+    return fock3.realize_two_mode(sector, FockSpace(cutoffs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(realizations())
+@example(fock3.realize_compact(FockSpace((1, 1, 1))))
+@example(fock3.realize_noncompact(FockSpace((7, 6, 5))))
+@example(fock3.realize_two_mode("su11", FockSpace((25, 20))))
+def test_per_state_formulas_equal_dense_oracle(ops):
+    # bit-identical, not approximately equal: the dense products only add exact zeros
+    report = fock3.verify_realization(ops)
+    assert not {"q0", "qp", "qm", "kmat", "lmat"} & set(vars(ops))  # nothing dense built
+    dense = dense_oracle.realize(ops.sector, ops.space)
+    assert report.to_dict() == dense_oracle.verify_realization(dense)
+    assert np.array_equal(ops.interior_mask, dense.interior_mask)
+    for name in ("q0", "qp", "qm", "kmat"):
+        assert np.array_equal(getattr(ops, name), getattr(dense, name)), name
+    if dense.lmat is None:
+        assert ops.lmat is None
+    else:
+        assert np.array_equal(ops.lmat, dense.lmat)
+
+
+def test_interior_mask_closed_form():
+    space = FockSpace((6, 4, 9))
+    occ = space.occupations
+    expected = ((occ >= fock3.DEPTH) & (occ <= np.array(space.cutoffs) - fock3.DEPTH)).all(axis=1)
+    for sector in ("compact", "noncompact"):
+        assert np.array_equal(fock3.interior_mask(space, sector), expected)
+    assert expected.sum() == 3 * 1 * 6
+
+
+def test_monomial_targets_leave_box_as_minus_one():
+    space = FockSpace((2, 2, 2))
+    ops = fock3.realize_noncompact(space)
+    target, weight = ops.raising
+    top = space.occupations.max(axis=1) == 2
+    assert np.all(target[top] == -1) and np.all(target[~top] >= 0)
+    # lowering from the vacuum annihilates it
+    assert ops.lowering[0][0] == -1
+    # weight of |1,0,1> -> |2,1,2> is sqrt(2) * sqrt(1) * sqrt(2)
+    i = int(space.row((1, 0, 1)))
+    assert target[i] == space.row((2, 1, 2))
+    assert weight[i] == (math.sqrt(2) * 1.0) * math.sqrt(2)

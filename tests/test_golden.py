@@ -1,12 +1,14 @@
-"""Byte-exact stdout of the ladder commands, pinned by sha256.
+"""Byte-exact stdout of the ladder and Fock-realization commands, pinned by sha256.
 
-The digests were recorded from the dense-matrix implementation of the
-ladder representations.  The band formulas perform the same float
-operations (every other term of a bidiagonal matrix product is an exact
-zero), so every byte of ``rep``, ``casimir``, ``deform`` and the BG
-eigen-residual of ``coherent`` must stay as it was.  Covered: all four
-sectors at d = 1, 2, 16 and 512, both output formats, the d = 512
-deformation and the canonical fermion.
+The digests were recorded from the dense-matrix implementations of the
+ladder representations and of the Fock realizations.  The band and
+per-state formulas perform the same float operations (every other term of
+those matrix products is an exact zero), so every byte of ``rep``,
+``casimir``, ``deform``, ``verify`` and the BG eigen-residual of
+``coherent`` must stay as it was.  Covered: all four sectors at d = 1, 2,
+16 and 512, both output formats, the d = 512 deformation and the canonical
+fermion; ``verify`` in all four sectors and both formats, from empty
+interiors (exit 3) up to 1,000 Fock states.
 """
 
 import hashlib
@@ -209,6 +211,54 @@ GOLDEN = {
         (0, "0f45e0f281de7d6e5190690ae0bed9060929484de874025edd98ff87f352f52f"),
     "coherent --family=bg --k=1/2 --l=1/4 --param=3 --dim=4":
         (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify --sector=compact --cutoffs=1,1,1 --format=json":
+        (3, "d8fe5e6927b45aad7b7f9d4c9100b4e865657253d46839de429baccbdf37ffa9"),
+    "verify --sector=compact --cutoffs=1,1,1 --format=csv":
+        (3, "133d14a31df7c59d2560518b3cbfa629a722c3dc6983d86a0f2dd63cd90d101c"),
+    "verify --sector=compact --cutoffs=7,8,6 --format=json":
+        (0, "3ea47a88fb6856b4fe385d58550dc927ba35029ca773a0e0b95aa9624d544fb2"),
+    "verify --sector=compact --cutoffs=7,8,6 --format=csv":
+        (0, "fb191bedd7d5fc283d15d8527d9dcb9b30c644a6d1adb305ceb2e334854a40df"),
+    "verify --sector=compact --cutoffs=9 --format=json":
+        (0, "3787d3abd7121defeaf754e75113bc2dbc37d9e7e610ee421aab4cd984d2ae8d"),
+    "verify --sector=compact --cutoffs=9 --format=csv":
+        (0, "36ba9ae4575712f4fd9186183ea8a59bff111611ac01625776ae938c4d5e6305"),
+    "verify --sector=noncompact --cutoffs=1,1,1 --format=json":
+        (3, "3f55df3fc7448b812e50c282898a93e71f14a77826517ec07d459cd367a096ad"),
+    "verify --sector=noncompact --cutoffs=1,1,1 --format=csv":
+        (3, "133d14a31df7c59d2560518b3cbfa629a722c3dc6983d86a0f2dd63cd90d101c"),
+    "verify --sector=noncompact --cutoffs=7,8,6 --format=json":
+        (0, "25597002068c18e492ab0b096416c5e6f6a89f24df40f2a2436e21577dd4ed3e"),
+    "verify --sector=noncompact --cutoffs=7,8,6 --format=csv":
+        (0, "0d18eb2d08ef2f65c69ab0ce52e0f2cffe0317dbc7dd5d48bd5f69bb6caf040e"),
+    "verify --sector=noncompact --cutoffs=9 --format=json":
+        (0, "5f515295c798294f4dfca88f3f54d49bcc61bfe6b7da6325193596d6c1dbe542"),
+    "verify --sector=noncompact --cutoffs=9 --format=csv":
+        (0, "79db0cea7e8ce6e27724a0397dcf2c2277d4c72355a7457f928773fe96ee222d"),
+    "verify --sector=su2 --cutoffs=1 --format=json":
+        (3, "9c0b73979ce354190e13025fc271989cf8ff74156b1279ff21e22a3ec3e30112"),
+    "verify --sector=su2 --cutoffs=1 --format=csv":
+        (3, "56468bb70e1cadbd1341b92f297ac45d0f8b97d3f3c44b48faa6593d59d22279"),
+    "verify --sector=su2 --cutoffs=24,20 --format=json":
+        (0, "5adae57a6878eca6a2f2c50329440fd200129b609f48bf20fc6c78b3bdaf673d"),
+    "verify --sector=su2 --cutoffs=24,20 --format=csv":
+        (0, "340f6cd69bb6bf8bafb496e78d6f35b5e345b43c630236f7d8a925d904153b0e"),
+    "verify --sector=su2 --cutoffs=30 --format=json":
+        (0, "23b3c128c3024120aaa549d62960fe16d930951d15b31eceb402efe8c9698012"),
+    "verify --sector=su2 --cutoffs=30 --format=csv":
+        (0, "e0307ccdcdfb0bba9a7367ac7b0c4a04fbd0a6224d8e8ff4678a1be69f015452"),
+    "verify --sector=su11 --cutoffs=1 --format=json":
+        (3, "6cae05a1e9d3b5f3b2da325a9bccdabda7260923d504bb5e504c03bf0cbce7f0"),
+    "verify --sector=su11 --cutoffs=1 --format=csv":
+        (3, "56468bb70e1cadbd1341b92f297ac45d0f8b97d3f3c44b48faa6593d59d22279"),
+    "verify --sector=su11 --cutoffs=24,20 --format=json":
+        (0, "cc87a984477bd8f219286c7740de65d5236fd283f3bf187bad402afdc5ffc2f1"),
+    "verify --sector=su11 --cutoffs=24,20 --format=csv":
+        (0, "43073804263447656ea7a000bdd8330c7ecc6bd941f54be2673d8307baf8a0af"),
+    "verify --sector=su11 --cutoffs=30 --format=json":
+        (0, "6ddff9617b79fe0f935bce6ef62a92ec0627c0ebd772cdc5b49920cb7cd186d9"),
+    "verify --sector=su11 --cutoffs=30 --format=csv":
+        (0, "14267f1b0986c7f2890596ba40ad1c40dcd9d5d1de877c047a6f2bdfa7eb15f7"),
 }
 
 

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from quadalg import measures
-from quadalg.coherent import bg_state
+from quadalg.coherent import bg_state, perelomov_noncompact
 from quadalg.measures import (
     QuadratureSpec,
     bg_moment_target,
@@ -61,6 +61,21 @@ def test_bg_moment_matches_coefficient_growth():
     for n in range(8):
         ratio = abs(state.coeffs[0] / state.coeffs[n]) ** 2
         assert ratio == pytest.approx(float(bg_moment_target(lab, n).ratio_to_first), rel=1e-11)
+
+
+def test_perelomov_moment_matches_coefficient_growth():
+    # target(n)/target(0) is the reciprocal squared coefficient at unit parameter,
+    # |c_n / c_0|^2 = (2k)_n (s+1)_n / n!
+    for lab in [AlgebraLabel.noncompact(F(1, 2), F(1, 4)),
+                AlgebraLabel.noncompact(F(3, 2), F(3, 4)),
+                AlgebraLabel.noncompact(F(5, 2), F(1, 4))]:
+        state = perelomov_noncompact(lab, 1.0, 16)
+        first = perelomov_moment_target(lab, 0).value
+        for n in range(12):
+            t = perelomov_moment_target(lab, n)
+            assert abs(state.coeffs[0] / state.coeffs[n]) ** 2 == pytest.approx(
+                float(t.ratio_to_first), rel=1e-11)
+            assert t.value / first == pytest.approx(float(t.ratio_to_first), rel=1e-11)
 
 
 def test_perelomov_moment_examples():

@@ -85,7 +85,7 @@ def test_hamiltonian_matches_fock_grading():
     space = fock3.FockSpace((5, 5, 5))
     ops = fock3.realize_compact(space)
     h = 4 * ops.lmat - np.eye(space.dim)
-    for i, occ in enumerate(space.basis):
+    for i, occ in enumerate(space.occupations.tolist()):
         assert h[i, i] == occ[0] + occ[1] + 2 * occ[2]
     assert np.abs(h - np.diag(np.diag(h))).max() == 0
 
@@ -93,7 +93,7 @@ def test_hamiltonian_matches_fock_grading():
 def test_level_degeneracy_matches_fock_eigenspace():
     # the number of basis states at energy N equals the ordered count
     space = fock3.FockSpace((10, 10, 5))
-    energies = [occ[0] + occ[1] + 2 * occ[2] for occ in space.basis]
+    energies = [occ[0] + occ[1] + 2 * occ[2] for occ in space.occupations.tolist()]
     for n in range(0, 6):
         assert energies.count(n) == brute_force_count(n, ordered=True)
 
