@@ -1,15 +1,21 @@
 """Command-line front end.
 
 All subcommands write machine-readable output to stdout (JSON by default,
-CSV with ``--format csv``) and diagnostics to stderr.  Exit codes: 0 on
-success, 2 on validation errors (including unknown flags, malformed labels
-and non-finite parameters), 3 on numerical-tolerance failures and on
-arithmetic errors such as overflow.  k and l are parsed as exact
-fractions ("3/2"), never as floats.  Output is byte-deterministic for fixed
-inputs: ordering is fixed and floats are printed with 17 significant digits.
+CSV with ``--format csv``) and diagnostics to stderr.  Each subcommand
+handler returns one result ``(doc, (header, rows), code)``: the JSON
+document, the CSV table and the exit code.  :func:`main` renders the part
+``--format`` asks for and is the only writer of stdout; handlers defer work
+that only the other format needs.  Exit codes: 0 on success, 2 on
+validation errors (including unknown flags, missing or malformed labels and
+non-finite parameters), 3 on numerical-tolerance failures and on arithmetic
+errors such as overflow.  k and l are parsed as exact fractions ("3/2"),
+never as floats.  Output is byte-deterministic for fixed inputs: ordering
+is fixed and floats are printed with 17 significant digits.
 
 The environment variable QUADALG_MAX_DIM (default 4096) caps every
-truncation dimension, including the number of Fock states of ``verify``.
+dimension a label or option fixes: truncation dimensions, the dimension of
+compact and su2 representations, and the number of Fock states of
+``verify``.  A request past the cap exits 2 before anything is built.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from .errors import InvalidLabelError, NumericalToleranceError
 from .output import json_dumps, write_csv
 
 DEFAULT_MAX_DIM = 4096
+SECTORS = ("compact", "noncompact", "su2", "su11")
+DIFF_SECTORS = {"su2": "su2", "su11": "su11", "compactQ": "compact", "noncompactQ": "noncompact"}
 
 
 def _max_dim() -> int:
@@ -91,63 +99,62 @@ def _check_dim(dim: int) -> int:
     return dim
 
 
-def _label(args) -> reps.AlgebraLabel:
+def _label(args, sector: str) -> reps.AlgebraLabel:
+    """The label of ``--k``/``--l`` in ``sector``; a compact one must fit the cap."""
     if args.k is None or args.l is None:
-        raise InvalidLabelError("--k and --l are required for this sector")
-    return reps.AlgebraLabel(args.k, args.l, args.sector)
+        raise InvalidLabelError(f"--k and --l are required for a {sector} label")
+    label = reps.AlgebraLabel(args.k, args.l, sector)
+    if sector == "compact":
+        _check_dim(label.dim)
+    return label
 
 
-def _build_rep(args) -> reps.Representation:
-    sector = args.sector
+def _build_rep(args, sector: str, dim: int | None, default_dim: int) -> reps.Representation:
+    """The representation the label options fix, truncated to ``dim`` if infinite."""
     if sector == "su2":
         if args.j is None:
             raise InvalidLabelError("--j is required for sector su2")
+        _check_dim(int(2 * reps.Su2Label(args.j).j) + 1)
         return reps.su2_rep(args.j)
     if sector == "su11":
         if args.k is None:
             raise InvalidLabelError("--k is required for sector su11")
-        return reps.su11_rep(args.k, _check_dim(8 if args.dim is None else args.dim))
-    label = _label(args)
+        return reps.su11_rep(args.k, _check_dim(default_dim if dim is None else dim))
+    label = _label(args, sector)
     if sector == "compact":
-        _check_dim(label.dim)
         return reps.compact_rep(label)
-    return reps.noncompact_rep(label, _check_dim(16 if args.dim is None else args.dim))
+    return reps.noncompact_rep(label, _check_dim(default_dim if dim is None else dim))
+
+
+def _fields(doc: dict, code: int):
+    """A flat document whose CSV form is one (field, value) row per key."""
+    return doc, (("field", "value"), doc.items()), code
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (stdout text, exit code)
+# Subcommand handlers: each returns (JSON document, (CSV header, CSV rows), exit code)
 
 
 def _cmd_rep(args):
-    rep = _build_rep(args)
-    if args.format == "json":
-        return json_dumps(reps.rep_to_dict(rep)) + "\n", 0
-    buf = io.StringIO()
+    rep = _build_rep(args, args.sector, args.dim, 8 if args.sector == "su11" else 16)
+    doc = reps.rep_to_dict(rep) if args.format == "json" else None
     rows = zip(range(rep.dim), rep.diag.tolist(), rep.raising.tolist() + [0.0])
-    write_csv(buf, ("n", "q0", "raise_to_next"), rows)
-    return buf.getvalue(), 0
+    return doc, (("n", "q0", "raise_to_next"), rows), 0
 
 
 def _cmd_casimir(args):
-    rep = _build_rep(args)
+    rep = _build_rep(args, args.sector, args.dim, 8 if args.sector == "su11" else 16)
     report = reps.casimir_value(rep)
-    struct = reps.structure_poly(rep)
-    g = reps.casimir_poly(rep)
-    head = reps.label_fields(rep)
-    head["structure_coeffs"] = [str(c) for c in struct.coeffs]
-    head["casimir_poly_coeffs"] = [str(c) for c in g.poly.coeffs]
-    head["convention"] = report.convention_note
-    head["value"] = report.value
-    head["max_deviation"] = report.max_deviation
-    head["exact"] = str(report.exact_value)
-    head["reference"] = str(report.reference_value)
-    head["matches_reference"] = report.matches_reference
-    if args.format == "json":
-        return json_dumps(head) + "\n", 0
-    buf = io.StringIO()
-    write_csv(buf, ("field", "value"), [(k, v if not isinstance(v, list) else ";".join(v))
-                                        for k, v in head.items()])
-    return buf.getvalue(), 0
+    doc = reps.label_fields(rep)
+    doc["structure_coeffs"] = [str(c) for c in reps.structure_poly(rep).coeffs]
+    doc["casimir_poly_coeffs"] = [str(c) for c in reps.casimir_poly(rep).poly.coeffs]
+    doc["convention"] = report.convention_note
+    doc["value"] = report.value
+    doc["max_deviation"] = report.max_deviation
+    doc["exact"] = str(report.exact_value)
+    doc["reference"] = str(report.reference_value)
+    doc["matches_reference"] = report.matches_reference
+    return _fields(doc, 0)
 
 
 def _cmd_verify(args):
@@ -171,39 +178,13 @@ def _cmd_verify(args):
     doc["passed"] = report.max_residual <= args.tol and report.interior_count > 0
     if report.interior_count == 0:
         print("warning: no interior states at these cutoffs", file=sys.stderr)
-    if args.format == "json":
-        text = json_dumps(doc) + "\n"
-    else:
-        buf = io.StringIO()
-        write_csv(buf, ("relation", "residual"), sorted(report.residuals.items()))
-        text = buf.getvalue()
-    return text, 0 if doc["passed"] else 3
+    rows = sorted(report.residuals.items())
+    return doc, (("relation", "residual"), rows), 0 if doc["passed"] else 3
 
 
 def _cmd_diffcheck(args):
-    kind = args.kind
-    size = args.size
-    if kind in ("su11", "noncompactQ"):
-        size = _check_dim(8 if size is None else size)
-    if kind == "su2":
-        if args.j is None:
-            raise InvalidLabelError("--j is required for kind su2")
-        real = diffreal.build_realization("su2", args.j)
-        rep = reps.su2_rep(args.j)
-    elif kind == "su11":
-        if args.k is None:
-            raise InvalidLabelError("--k is required for kind su11")
-        real = diffreal.build_realization("su11", args.k, size)
-        rep = reps.su11_rep(args.k, size)
-    else:
-        sector = "compact" if kind == "compactQ" else "noncompact"
-        label = reps.AlgebraLabel(args.k, args.l, sector)
-        if kind == "compactQ":
-            real = diffreal.build_realization(kind, label)
-            rep = reps.compact_rep(label)
-        else:
-            real = diffreal.build_realization(kind, label, size)
-            rep = reps.noncompact_rep(label, size)
+    rep = _build_rep(args, DIFF_SECTORS[args.kind], args.size, 8)
+    real = diffreal.build_realization(args.kind, rep.label, rep.dim if rep.truncated else None)
     tables = diffreal.matrix_elements(real)
     agree = {
         "q0": all(tables["q0"][n][n] == diffreal.signed_square(rep.q0_diag[n])
@@ -217,47 +198,34 @@ def _cmd_diffcheck(args):
         for m in range(rep.dim) for n in range(rep.dim) if m != n + offset
     )
     doc = {
-        "kind": kind,
+        "kind": args.kind,
         "size": rep.dim,
         "agree": agree,
         "off_diagonal_clean": off_diag_clean,
         "equal": all(agree.values()) and off_diag_clean,
     }
-    if args.format == "json":
-        text = json_dumps(doc) + "\n"
-    else:
-        buf = io.StringIO()
-        rows = [(g, "agree", str(agree[g]).lower()) for g in ("q0", "qp", "qm")]
-        rows.append(("all", "equal", str(doc["equal"]).lower()))
-        write_csv(buf, ("generator", "check", "result"), rows)
-        text = buf.getvalue()
-    return text, 0 if doc["equal"] else 3
+    rows = [(g, "agree", str(agree[g]).lower()) for g in ("q0", "qp", "qm")]
+    rows.append(("all", "equal", str(doc["equal"]).lower()))
+    return doc, (("generator", "check", "result"), rows), 0 if doc["equal"] else 3
 
 
 def _cmd_coherent(args):
-    label_sector = "compact" if args.family == "perelomov-c" else "noncompact"
-    label = reps.AlgebraLabel(args.k, args.l, label_sector)
-    cap = _max_dim()
+    label = _label(args, "compact" if args.family == "perelomov-c" else "noncompact")
+    extra = {}
     if args.family == "bg":
         dim = None if args.dim is None else _check_dim(args.dim)
-        state = coherent.bg_state(label, args.param, dim=dim, max_dim=cap)
+        state = coherent.bg_state(label, args.param, dim=dim, max_dim=_max_dim())
         rep = reps.noncompact_rep(label, state.truncation)
         # |qm c - param c|, relative to |param| unless it is 0; (qm c)[n] = raising[n] c[n+1]
         lowered = np.append(rep.raising * state.coeffs[1:], 0.0)
         resid = np.linalg.norm(lowered - args.param * state.coeffs) / (abs(args.param) or 1.0)
-        extra = {"eigen_residual": float(resid)}
+        extra["eigen_residual"] = float(resid)
     elif args.family == "perelomov-nc":
         state = coherent.perelomov_noncompact(label, args.param,
                                               _check_dim(16 if args.dim is None else args.dim))
-        extra = {}
     else:
         state = coherent.perelomov_compact(label, args.param,
                                            form="gamma" if args.gamma_form else "alpha")
-        extra = {}
-    if args.format == "csv":
-        buf = io.StringIO()
-        coherent.coefficients_csv(state, buf)
-        return buf.getvalue(), 0
     doc = {
         "family": state.family,
         "k": str(label.k),
@@ -270,7 +238,8 @@ def _cmd_coherent(args):
     }
     doc.update(extra)
     doc["provenance"] = state.provenance
-    return json_dumps(doc) + "\n", 0
+    rows = ((n, c.real, c.imag, abs(c) ** 2) for n, c in enumerate(state.coeffs))
+    return doc, (("n", "re", "im", "abs2"), rows), 0
 
 
 def _cmd_measure(args):
@@ -286,48 +255,31 @@ def _cmd_measure(args):
             "abs_error": res.abs_error, "rel_error": res.rel_error,
             "quadrature": {"R": res.r_max, "evals": res.evals},
         }
-        if args.format == "json":
-            return json_dumps(doc) + "\n", 0 if res.rel_error <= args.tol else 3
-        buf = io.StringIO()
-        write_csv(buf, ("a", "b", "c", "numeric", "analytic", "rel_error"),
-                  [(res.a, res.b, res.c, res.numeric, res.analytic, res.rel_error)])
-        return buf.getvalue(), 0 if res.rel_error <= args.tol else 3
+        rows = [(res.a, res.b, res.c, res.numeric, res.analytic, res.rel_error)]
+        return (doc, (("a", "b", "c", "numeric", "analytic", "rel_error"), rows),
+                0 if res.rel_error <= args.tol else 3)
     if args.check in ("bg-moments", "perelomov-moments"):
-        label = reps.AlgebraLabel(args.k, args.l, "noncompact")
+        label = _label(args, "noncompact")
         fn = (measures.bg_moment_target if args.check == "bg-moments"
               else measures.perelomov_moment_target)
         targets = [fn(label, n) for n in range(args.max_n + 1)]
-        if args.format == "json":
-            doc = [{"k": str(label.k), "l": str(label.l), "n": t.n, "value": t.value,
-                    "ratio_to_first": str(t.ratio_to_first)} for t in targets]
-            return json_dumps(doc) + "\n", 0
-        buf = io.StringIO()
-        write_csv(buf, ("n", "value", "ratio_to_first"),
-                  [(t.n, t.value, t.ratio_to_first) for t in targets])
-        return buf.getvalue(), 0
-    # resolution check
-    label = reps.AlgebraLabel(args.k, args.l, "compact")
+        doc = ({"k": str(label.k), "l": str(label.l), "n": t.n, "value": t.value,
+                "ratio_to_first": str(t.ratio_to_first)} for t in targets)
+        rows = ((t.n, t.value, t.ratio_to_first) for t in targets)
+        return doc, (("n", "value", "ratio_to_first"), rows), 0
+    label = _label(args, "compact")
     report = measures.verify_compact_resolution(label, spec)
-    code = 0 if report.max_deviation <= args.tol else 3
-    if args.format == "json":
-        return json_dumps(report.to_dicts()) + "\n", code
-    buf = io.StringIO()
-    write_csv(buf, ("k", "l", "n", "moment", "deviation", "R", "evals"),
-              [(label.k, label.l, c.n, c.moment, c.deviation, c.r_max, c.evals)
-               for c in report.checks])
-    return buf.getvalue(), code
+    rows = ((label.k, label.l, c.n, c.moment, c.deviation, c.r_max, c.evals)
+            for c in report.checks)
+    return (report.to_dicts(), (("k", "l", "n", "moment", "deviation", "R", "evals"), rows),
+            0 if report.max_deviation <= args.tol else 3)
 
 
 def _cmd_spectrum(args):
     if args.to < args.from_ or args.from_ < 0:
         raise InvalidLabelError("need 0 <= --from <= --to")
     reports = [spectrum.level_report(n) for n in range(args.from_, args.to + 1)]
-    bad = [r.N for r in reports if not r.consistent]
-    if args.format == "csv":
-        buf = io.StringIO()
-        spectrum.spectrum_csv(reports, buf)
-        return buf.getvalue(), 0 if not bad else 3
-    doc = [
+    doc = (
         {
             "N": r.N, "l": str(r.l),
             "degeneracy": {"reptheory": r.degeneracy_reptheory,
@@ -341,45 +293,36 @@ def _cmd_spectrum(args):
             "consistent": r.consistent,
         }
         for r in reports
-    ]
-    return json_dumps(doc) + "\n", 0 if not bad else 3
+    )
+    rows = ((r.N, r.degeneracy_formula, r.partitions_formula, r.parts_string())
+            for r in reports)
+    code = 0 if all(r.consistent for r in reports) else 3
+    return doc, (("N", "degeneracy", "partitions", "parts"), rows), code
 
 
 def _cmd_deform(args):
     if args.fermion:
         check = defosc.fermion_check()
-        doc = {
+        return _fields({
             "fermion": True,
             "relations_exact": check.relations_exact,
             "nilpotent": check.nilpotent,
             "matches_deformed_rep": check.matches_deformed_rep,
             "passed": check.passed,
             "rhs_poly_coeffs": [str(c) for c in check.rhs_poly.coeffs],
-        }
-        code = 0 if check.passed else 3
-    else:
-        label = reps.AlgebraLabel(args.k, args.l, "compact")
-        _check_dim(label.dim)
-        osc = defosc.deform(reps.compact_rep(label))
-        residuals = defosc.commutator_residuals(osc)
-        worst = max(residuals.values())
-        doc = {
-            "k": str(label.k), "l": str(label.l), "dim": label.dim,
-            "scale_sq": str(osc.scale_sq), "scale": osc.scale,
-            "f_poly_coeffs": [str(c) for c in osc.f_poly.coeffs],
-            "residuals": residuals,
-            "tol": args.tol,
-            "passed": worst <= args.tol,
-        }
-        code = 0 if doc["passed"] else 3
-    if args.format == "json":
-        return json_dumps(doc) + "\n", code
-    buf = io.StringIO()
-    write_csv(buf, ("field", "value"),
-              [(k, ";".join(v) if isinstance(v, list) else
-                json_dumps(v) if isinstance(v, dict) else v)
-               for k, v in doc.items()])
-    return buf.getvalue(), code
+        }, 0 if check.passed else 3)
+    label = _label(args, "compact")
+    osc = defosc.deform(reps.compact_rep(label))
+    residuals = defosc.commutator_residuals(osc)
+    passed = max(residuals.values()) <= args.tol
+    return _fields({
+        "k": str(label.k), "l": str(label.l), "dim": label.dim,
+        "scale_sq": str(osc.scale_sq), "scale": osc.scale,
+        "f_poly_coeffs": [str(c) for c in osc.f_poly.coeffs],
+        "residuals": residuals,
+        "tol": args.tol,
+        "passed": passed,
+    }, 0 if passed else 3)
 
 
 # ---------------------------------------------------------------------------
@@ -391,46 +334,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quadratic algebras from three bosonic modes: representations, "
                     "coherent states, measures, and oscillator degeneracies.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = []
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        commands.append(p)
+        return p
 
-    p = sub.add_parser("rep", help="build a representation and print it")
-    p.add_argument("--sector", choices=("compact", "noncompact", "su2", "su11"), required=True)
-    p.add_argument("--k", type=_frac)
-    p.add_argument("--l", type=_frac)
-    p.add_argument("--j", type=_frac)
-    p.add_argument("--dim", type=int)
-    add_common(p)
-    p.set_defaults(func=_cmd_rep)
+    for name, func, help in (("rep", _cmd_rep, "build a representation and print it"),
+                             ("casimir", _cmd_casimir,
+                              "structure/Casimir polynomials and scalar value")):
+        p = command(name, func, help)
+        p.add_argument("--sector", choices=SECTORS, required=True)
+        p.add_argument("--k", type=_frac)
+        p.add_argument("--l", type=_frac)
+        p.add_argument("--j", type=_frac)
+        p.add_argument("--dim", type=int)
 
-    p = sub.add_parser("casimir", help="structure/Casimir polynomials and scalar value")
-    p.add_argument("--sector", choices=("compact", "noncompact", "su2", "su11"), required=True)
-    p.add_argument("--k", type=_frac)
-    p.add_argument("--l", type=_frac)
-    p.add_argument("--j", type=_frac)
-    p.add_argument("--dim", type=int)
-    add_common(p)
-    p.set_defaults(func=_cmd_casimir)
-
-    p = sub.add_parser("verify", help="verify a bosonic realization on a truncated Fock space")
-    p.add_argument("--sector", choices=("compact", "noncompact", "su2", "su11"), required=True)
+    p = command("verify", _cmd_verify, "verify a bosonic realization on a truncated Fock space")
+    p.add_argument("--sector", choices=SECTORS, required=True)
     p.add_argument("--cutoffs", type=_cutoffs, default=(8,),
                    help="per-mode cutoffs, e.g. '8' or '8,8,8'")
     p.add_argument("--tol", type=_finite_float, default=1e-10)
-    add_common(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("diffcheck", help="differential realization vs matrix representation")
-    p.add_argument("--kind", choices=("su2", "su11", "compactQ", "noncompactQ"), required=True)
+    p = command("diffcheck", _cmd_diffcheck, "differential realization vs matrix representation")
+    p.add_argument("--kind", choices=tuple(DIFF_SECTORS), required=True)
     p.add_argument("--k", type=_frac)
     p.add_argument("--l", type=_frac)
     p.add_argument("--j", type=_frac)
     p.add_argument("--size", type=int)
-    add_common(p)
-    p.set_defaults(func=_cmd_diffcheck)
 
-    p = sub.add_parser("coherent", help="coherent-state coefficients and normalization")
+    p = command("coherent", _cmd_coherent, "coherent-state coefficients and normalization")
     p.add_argument("--family", choices=("bg", "perelomov-nc", "perelomov-c"), required=True)
     p.add_argument("--k", type=_frac, required=True)
     p.add_argument("--l", type=_frac, required=True)
@@ -439,10 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int)
     p.add_argument("--gamma-form", action="store_true",
                    help="use the inverse-parameter form of the compact family")
-    add_common(p)
-    p.set_defaults(func=_cmd_coherent)
 
-    p = sub.add_parser("measure", help="moment targets and resolution-of-identity checks")
+    p = command("measure", _cmd_measure, "moment targets and resolution-of-identity checks")
     p.add_argument("--check", choices=("resolution", "kummer", "bg-moments", "perelomov-moments"),
                    default="resolution")
     p.add_argument("--k", type=_frac)
@@ -456,22 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=_finite_float)
     p.add_argument("--tol", type=_finite_float, default=1e-6,
                    help="acceptance threshold on deviations (exit 3 beyond)")
-    add_common(p)
-    p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("spectrum", help="level degeneracies and partition counts")
+    p = command("spectrum", _cmd_spectrum, "level degeneracies and partition counts")
     p.add_argument("--from", dest="from_", type=int, required=True)
     p.add_argument("--to", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("deform", help="deformed-oscillator form of a compact representation")
+    p = command("deform", _cmd_deform, "deformed-oscillator form of a compact representation")
     p.add_argument("--k", type=_frac)
     p.add_argument("--l", type=_frac)
     p.add_argument("--fermion", action="store_true", help="run the canonical fermion check")
     p.add_argument("--tol", type=_finite_float, default=1e-10)
-    add_common(p)
-    p.set_defaults(func=_cmd_deform)
+
+    for p in commands:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 
@@ -482,7 +412,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text, code = args.func(args)
+        doc, (header, rows), code = args.func(args)
+        if args.format == "json":
+            text = json_dumps(doc) + "\n"
+        else:
+            buf = io.StringIO()
+            write_csv(buf, header, rows)
+            text = buf.getvalue()
     except (InvalidLabelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, TextIO, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import SeriesConvergenceError, TruncationError
-from .output import write_csv
 from .reps import AlgebraLabel
 
 KINDS = ("0F2", "1F1", "2F0")
@@ -375,12 +374,3 @@ def bg_overlap_series(label: AlgebraLabel, alpha: complex, alpha2: complex,
     d1 = hypergeom(ser, abs(alpha) ** 2, tol=tol).value
     d2 = hypergeom(ser, abs(alpha2) ** 2, tol=tol).value
     return num / math.sqrt(d1 * d2)
-
-
-def coefficients_csv(state: CoherentState, stream: TextIO) -> None:
-    """Write the coefficient table as CSV: n, re(c_n), im(c_n), |c_n|^2."""
-    rows = [
-        (n, c.real, c.imag, abs(c) ** 2)
-        for n, c in enumerate(state.coeffs)
-    ]
-    write_csv(stream, ("n", "re", "im", "abs2"), rows)

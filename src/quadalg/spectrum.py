@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, TextIO
-
-from .output import write_csv
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,3 @@ def level_report(N: int) -> DegeneracyReport:
         partitions_formula=partition_formula(N),
         partitions_bruteforce=brute_force_count(N, ordered=False),
     )
-
-
-def spectrum_csv(reports: Iterable[DegeneracyReport], stream: TextIO) -> None:
-    """CSV table: N, degeneracy, partitions, parts as 'k:dim:mult;...'."""
-    rows = [(r.N, r.degeneracy_formula, r.partitions_formula, r.parts_string())
-            for r in reports]
-    write_csv(stream, ("N", "degeneracy", "partitions", "parts"), rows)

@@ -1,8 +1,12 @@
 """Command-line behaviour: output schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from quadalg import fock3
 from quadalg.cli import main
@@ -307,3 +311,85 @@ def test_arithmetic_error_exits_3(capsys):
 
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+MISSING_LABEL = [
+    ("measure",),
+    ("measure", "--check=bg-moments"),
+    ("deform",),
+    ("deform", "--k=1/2"),
+    ("diffcheck", "--kind=compactQ"),
+    ("diffcheck", "--kind=noncompactQ", "--k=1/2"),
+]
+
+
+@pytest.mark.parametrize("argv", MISSING_LABEL, ids=" ".join)
+def test_missing_label_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# every site where a label, not a size option, fixes the dimension
+LABEL_SIZED = {
+    "rep-su2": ("rep", "--sector=su2", "--j=20"),
+    "casimir-su2": ("casimir", "--sector=su2", "--j=20"),
+    "diffcheck-su2": ("diffcheck", "--kind=su2", "--j=20"),
+    "diffcheck-compactQ": ("diffcheck", "--kind=compactQ", "--k=1/2", "--l=41/4"),
+    "perelomov-c": ("coherent", "--family=perelomov-c", "--k=1/2", "--l=41/4", "--param=0.3"),
+    "measure-resolution": ("measure", "--k=1/2", "--l=41/4"),
+}
+
+
+@pytest.mark.parametrize("argv", list(LABEL_SIZED.values()), ids=list(LABEL_SIZED))
+def test_max_dim_cap_applies_to_label_dimensions(capsys, monkeypatch, argv):
+    monkeypatch.setenv("QUADALG_MAX_DIM", "8")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "QUADALG_MAX_DIM" in err
+
+
+# valid and invalid labels; sizes stay small (dims <= 40, cutoffs <= 3, levels <= 10,
+# --max-n <= 8) so that every generated request finishes in milliseconds
+LABELS = ["0", "1/4", "1/2", "1/3", "3/4", "1", "3/2", "9/4", "5/2", "41/4", "-1/4"]
+
+
+def _opt(name, values):
+    """``--name=value`` for a drawn value, or nothing."""
+    return st.one_of(st.just(()), st.sampled_from(values).map(lambda v: (f"--{name}={v}",)))
+
+
+def _argv(command, *options):
+    """``command`` followed by the drawn options, ``--format`` among them."""
+    options += (_opt("format", ["json", "csv"]),)
+    return st.tuples(*options).map(lambda opts: [command, *(o for opt in opts for o in opt)])
+
+
+SECTOR = ["compact", "noncompact", "su2", "su11"]
+LABEL_OPTS = (_opt("k", LABELS), _opt("l", LABELS), _opt("j", LABELS))
+ARGV = st.one_of(
+    _argv("rep", _opt("sector", SECTOR), *LABEL_OPTS, _opt("dim", [0, 1, 5, 40])),
+    _argv("casimir", _opt("sector", SECTOR), *LABEL_OPTS, _opt("dim", [0, 1, 5, 40])),
+    _argv("verify", _opt("sector", SECTOR), _opt("cutoffs", ["1", "3", "2,3", "1,2,3"])),
+    _argv("diffcheck", _opt("kind", ["su2", "su11", "compactQ", "noncompactQ"]), *LABEL_OPTS,
+          _opt("size", [0, 1, 5, 40])),
+    _argv("coherent", _opt("family", ["bg", "perelomov-nc", "perelomov-c"]),
+          _opt("k", LABELS), _opt("l", LABELS), _opt("param", ["0", "0.3", "0.5+0.5j", "3"]),
+          _opt("dim", [0, 1, 8, 40]), st.sampled_from([(), ("--gamma-form",)])),
+    _argv("measure", _opt("check", ["resolution", "kummer", "bg-moments", "perelomov-moments"]),
+          _opt("k", LABELS), _opt("l", LABELS), _opt("a", [1, 3]), _opt("b", [1, 2]),
+          _opt("c", [2, 4]), _opt("max-n", [0, 3, 8]), _opt("tol", [0, 1e-6])),
+    _argv("spectrum", _opt("from", [-1, 0, 3, 10]), _opt("to", [0, 5, 10])),
+    _argv("deform", _opt("k", LABELS), _opt("l", LABELS), _opt("tol", [0, 1e-10]),
+          st.sampled_from([(), ("--fermion",)])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_generated_argv_never_tracebacks(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -1,6 +1,5 @@
 """Hypergeometric series and coherent-state families."""
 
-import io
 import math
 from fractions import Fraction as F
 
@@ -8,7 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from quadalg import coherent, reps
+from quadalg import reps
+from quadalg.cli import main
 from quadalg.coherent import (
     HypergeomSeries,
     bg_state,
@@ -262,12 +262,13 @@ def test_gamma_and_alpha_forms_are_reversals():
     np.testing.assert_allclose(np.abs(sg.coeffs), np.abs(sa.coeffs[::-1]), rtol=1e-12)
 
 
-def test_coefficients_csv():
+def test_coefficients_csv(capsys):
     label = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
-    state = bg_state(label, 1j, dim=6, tail_rel=1.0)
-    buf = io.StringIO()
-    coherent.coefficients_csv(state, buf)
-    lines = buf.getvalue().strip().split("\n")
+    state = bg_state(label, 0.5j, dim=6)
+    code = main(["coherent", "--family=bg", "--k=1/2", "--l=1/4", "--param=0.5j", "--dim=6",
+                 "--format=csv"])
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert code == 0
     assert lines[0] == "n,re,im,abs2"
     assert len(lines) == 7
     first = lines[1].split(",")

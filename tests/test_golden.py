@@ -1,4 +1,4 @@
-"""Byte-exact stdout of the ladder and Fock-realization commands, pinned by sha256.
+"""Byte-exact stdout of every subcommand, pinned by sha256.
 
 The digests were recorded from the dense-matrix implementations of the
 ladder representations and of the Fock realizations.  The band and
@@ -9,8 +9,16 @@ those matrix products is an exact zero), so every byte of ``rep``,
 16 and 512, both output formats, the d = 512 deformation and the canonical
 fermion; ``verify`` in all four sectors and both formats, from empty
 interiors (exit 3) up to 1,000 Fock states.
+
+The remaining commands are pinned in both formats as well: ``diffcheck``
+for all four kinds (default and explicit sizes), ``spectrum`` up to N = 12,
+``measure`` (kummer, both moment tables, resolution; exit 3 at ``--tol=0``)
+and the two Perelomov families of ``coherent``.  The four non-fermion
+``deform`` CSV digests were recorded after CSV cells became quoted: their
+``residuals`` cell holds inline JSON with commas and quotes.
 """
 
+import csv
 import hashlib
 
 import pytest
@@ -174,19 +182,19 @@ GOLDEN = {
     "deform --k=1/2 --l=1/4 --format=json":
         (0, "22e3509ef7b204701263ea8b7101526e962f7069b642415ab8bfcc1510969bca"),
     "deform --k=1/2 --l=1/4 --format=csv":
-        (0, "17183417d502cb4e48ee29162aeb5f164489fb52b65efb07d89fa46cf0930ea5"),
+        (0, "f201d7198d74d3b3c67ba20778609bb0eaffa323c64ab332acf2a554a2113df0"),
     "deform --k=1 --l=1 --format=json":
         (0, "716fa171dae63828758858d375c2397fc9bd3f02683bf5df7a690b9c76b0ff55"),
     "deform --k=1 --l=1 --format=csv":
-        (0, "cf5f69177484c70fc03316cbcb4436b58b9fc70d05e29b5e81ff2df7ea846732"),
+        (0, "fd2f29ecd4fcd5105ca25468b6448f264cb53212e380ab2767ce6c09c54e2407"),
     "deform --k=3/2 --l=33/4 --format=json":
         (0, "1215e526081726dbb1195ad483d4a79470c12655dfb27abd371bec6255cbb62c"),
     "deform --k=3/2 --l=33/4 --format=csv":
-        (0, "883c84ca753df4779bd0ec242ba9128faa51dce7aa434b1494f5e9c092e6f914"),
+        (0, "8af975136d94a13fd8c278a2e8e6d12289bfc15e94eeeca9d003926ef3603b47"),
     "deform --k=1/2 --l=1023/4 --format=json":
         (0, "1e12f392cf2eb3084ff66c7fd259e5ec9ff07541efdc91ae8b93243eb0fbfd8e"),
     "deform --k=1/2 --l=1023/4 --format=csv":
-        (0, "80f0b01e6594540e797c9ef9d03a1850b833d8ed5e4b4c01e901d553af4fd1cc"),
+        (0, "173c9f89f4fe768ab56c52e15e7348ec691230e69a5fa9d9998c44d173e556c1"),
     "deform --fermion --format=json":
         (0, "529fc03411a8723897d01bb872a3235ff779a9f60aa827944fc81def63e8d63c"),
     "deform --fermion --format=csv":
@@ -259,6 +267,70 @@ GOLDEN = {
         (0, "6ddff9617b79fe0f935bce6ef62a92ec0627c0ebd772cdc5b49920cb7cd186d9"),
     "verify --sector=su11 --cutoffs=30 --format=csv":
         (0, "14267f1b0986c7f2890596ba40ad1c40dcd9d5d1de877c047a6f2bdfa7eb15f7"),
+    "diffcheck --kind=su2 --j=3/2 --format=json":
+        (0, "df59fa447e0b12f33053f9c594499e7d795eafebec9e3edaa86bd9c8dbead8a4"),
+    "diffcheck --kind=su2 --j=3/2 --format=csv":
+        (0, "75b22fbbf7b0f5982ef3bd19c39e91c83a95ffefd1590727d08db94919cf427f"),
+    "diffcheck --kind=su11 --k=1/2 --format=json":
+        (0, "10bf35dbe42e147faf0461e940aa70e2f05910e1afd93c029725f22e5d873347"),
+    "diffcheck --kind=su11 --k=1/2 --format=csv":
+        (0, "75b22fbbf7b0f5982ef3bd19c39e91c83a95ffefd1590727d08db94919cf427f"),
+    "diffcheck --kind=su11 --k=3/2 --size=20 --format=json":
+        (0, "9596d74c04be17433beb975a4bffeaf8ff4a9c6881faa6438652c4b8bde7b626"),
+    "diffcheck --kind=su11 --k=3/2 --size=20 --format=csv":
+        (0, "75b22fbbf7b0f5982ef3bd19c39e91c83a95ffefd1590727d08db94919cf427f"),
+    "diffcheck --kind=compactQ --k=1/2 --l=9/4 --format=json":
+        (0, "0548cbe14034211f5693a1ff7ae3256cab7e325bf95d9cece0854123317da1e5"),
+    "diffcheck --kind=compactQ --k=1/2 --l=9/4 --format=csv":
+        (0, "75b22fbbf7b0f5982ef3bd19c39e91c83a95ffefd1590727d08db94919cf427f"),
+    "diffcheck --kind=noncompactQ --k=1/2 --l=1/4 --format=json":
+        (0, "1da8e8de650a1bbf38cd5e83b2cc39e5845d6a6d28a02f6f7df8415e38626c7c"),
+    "diffcheck --kind=noncompactQ --k=1/2 --l=1/4 --format=csv":
+        (0, "75b22fbbf7b0f5982ef3bd19c39e91c83a95ffefd1590727d08db94919cf427f"),
+    "diffcheck --kind=noncompactQ --k=5/2 --l=3/4 --size=20 --format=json":
+        (0, "7805d44f2ec5377728cc5963176f20d82722c99e702cd6d6f245d767768d5512"),
+    "diffcheck --kind=noncompactQ --k=5/2 --l=3/4 --size=20 --format=csv":
+        (0, "75b22fbbf7b0f5982ef3bd19c39e91c83a95ffefd1590727d08db94919cf427f"),
+    "spectrum --from=0 --to=12 --format=json":
+        (0, "8ac5623e3fdba4206bb74561de04a9f15ee697bee17e843fc3c05264bbbffba9"),
+    "spectrum --from=0 --to=12 --format=csv":
+        (0, "6fe3223dfd9bdfa235c125694f1f36bb8abbb53105ef2c19407d435be7e44d1a"),
+    "measure --check=kummer --a=3 --b=1 --c=2 --format=json":
+        (0, "dc8cc1632576c383db96e6c89db7c5bedcb47dfc0012d9af6ea6a0178049e43b"),
+    "measure --check=kummer --a=3 --b=1 --c=2 --format=csv":
+        (0, "a127750f8055fd9ab1abb30b4adbcd7c815594aa971191ac52619a5dad84052c"),
+    "measure --check=kummer --a=3 --b=1 --c=2 --tol=0 --format=json":
+        (3, "dc8cc1632576c383db96e6c89db7c5bedcb47dfc0012d9af6ea6a0178049e43b"),
+    "measure --check=kummer --a=3 --b=1 --c=2 --tol=0 --format=csv":
+        (3, "a127750f8055fd9ab1abb30b4adbcd7c815594aa971191ac52619a5dad84052c"),
+    "measure --check=bg-moments --k=1/2 --l=1/4 --format=json":
+        (0, "8f42a40a6781b343dfeafd50adae820bba7e0fed9a3e18a4bcf2477d82a6c4e4"),
+    "measure --check=bg-moments --k=1/2 --l=1/4 --format=csv":
+        (0, "af9d4c3c7aaeacfefcfadfbf5f87a87a3f8ff29d4ddf1cd97423ba861081ef2f"),
+    "measure --check=perelomov-moments --k=3/2 --l=-1/4 --max-n=7 --format=json":
+        (0, "b2906295cfbc49e35f667c65ef3b548789bd674e642aa30a9010204823b3fb6e"),
+    "measure --check=perelomov-moments --k=3/2 --l=-1/4 --max-n=7 --format=csv":
+        (0, "ea9584e471ef76556fda12309724d8a1ecc1297ab342997f20123932ade9b7eb"),
+    "measure --k=1/2 --l=9/4 --format=json":
+        (0, "ea98ff158e0f688c767e33e3a6b0598b43d08d9c8e67ecb9f6b231f9f7ec8482"),
+    "measure --k=1/2 --l=9/4 --format=csv":
+        (0, "40bb88dabcb674a5ea2ec04448298be1871e9f65717a38370f49e3e38d691017"),
+    "measure --k=1/2 --l=9/4 --tol=0 --format=json":
+        (3, "ea98ff158e0f688c767e33e3a6b0598b43d08d9c8e67ecb9f6b231f9f7ec8482"),
+    "measure --k=1/2 --l=9/4 --tol=0 --format=csv":
+        (3, "40bb88dabcb674a5ea2ec04448298be1871e9f65717a38370f49e3e38d691017"),
+    "coherent --family=perelomov-nc --k=1/2 --l=1/4 --param=0.4+0.2j --dim=24 --format=json":
+        (0, "4e5f2d9584fb7d6d143888ef6427255aa7a12d71d2eb8e59f3dc6c77d00a7d78"),
+    "coherent --family=perelomov-nc --k=1/2 --l=1/4 --param=0.4+0.2j --dim=24 --format=csv":
+        (0, "b5b0956edb3a4710968ce8f3e236b13ffec139c91f0382f17754727c5bf7fba9"),
+    "coherent --family=perelomov-c --k=1/2 --l=9/4 --param=0.3-0.5j --format=json":
+        (0, "33c26d18270f18939dec516164f477b0c4e1b2aa75ee30bb92c607b81e0a3368"),
+    "coherent --family=perelomov-c --k=1/2 --l=9/4 --param=0.3-0.5j --format=csv":
+        (0, "623b29107c6f9b38a7255a636a18aa3b5523415bd8203dd4f7e8dde58f9c97de"),
+    "coherent --family=perelomov-c --k=3/2 --l=17/4 --param=2+1j --gamma-form --format=json":
+        (0, "43d959af1c84cef779ca4b7d752328c6a871da56e2cc4b0c1dcc3868d6755689"),
+    "coherent --family=perelomov-c --k=3/2 --l=17/4 --param=2+1j --gamma-form --format=csv":
+        (0, "14169a8d4f329cf1fc423c1282846aa3b42a608a39a4891fed350237d4b63d71"),
 }
 
 
@@ -267,3 +339,10 @@ def test_stdout_bytes(argv, capsys):
     code = main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in GOLDEN if "--format=csv" in argv])
+def test_csv_rows_as_wide_as_header(argv, capsys):
+    main(argv.split())
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)

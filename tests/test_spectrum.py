@@ -1,12 +1,12 @@
 """Degeneracy and partition counting for the 1:1:2 oscillator."""
 
-import io
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from quadalg import fock3, spectrum
+from quadalg.cli import main
 from quadalg.spectrum import (
     LevelPart,
     brute_force_count,
@@ -14,7 +14,6 @@ from quadalg.spectrum import (
     degeneracy_formula,
     level_report,
     partition_formula,
-    spectrum_csv,
 )
 
 
@@ -98,10 +97,9 @@ def test_level_degeneracy_matches_fock_eigenspace():
         assert energies.count(n) == brute_force_count(n, ordered=True)
 
 
-def test_csv_export():
-    buf = io.StringIO()
-    spectrum_csv([level_report(n) for n in range(3)], buf)
-    lines = buf.getvalue().strip().split("\n")
+def test_csv_export(capsys):
+    assert main(["spectrum", "--from=0", "--to=2", "--format=csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "N,degeneracy,partitions,parts"
     assert lines[1] == "0,1,1,1/2:1:1"
     assert lines[2] == "1,2,1,1:1:2"
