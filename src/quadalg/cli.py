@@ -7,9 +7,11 @@ document, the CSV table and the exit code.  :func:`main` renders the part
 ``--format`` asks for and is the only writer of stdout; handlers defer work
 that only the other format needs.  Exit codes: 0 on success, 2 on
 validation errors (including unknown flags, missing or malformed labels and
-non-finite parameters), 3 on numerical-tolerance failures and on arithmetic
-errors such as overflow.  k and l are parsed as exact fractions ("3/2"),
-never as floats.  Output is byte-deterministic for fixed inputs: ordering
+non-finite parameters), 3 on numerical-tolerance failures, on arithmetic
+errors such as overflow and on a non-finite value in the output (stdout
+stays empty).  k and l are parsed as exact fractions ("3/2"), never as
+floats; a negative value may follow its option as a separate token
+(``--l -1/4``).  Output is byte-deterministic for fixed inputs: ordering
 is fixed and floats are printed with 17 significant digits.
 
 The environment variable QUADALG_MAX_DIM (default 4096) caps every
@@ -405,10 +407,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+FLAGS = ("--gamma-form", "--fermion", "--help")
+
+
+def _is_number(text: str) -> bool:
+    for parse in (Fraction, complex):
+        try:
+            parse(text)
+            return True
+        except (ValueError, ZeroDivisionError):
+            pass
+    return False
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--opt -1/4`` as ``--opt=-1/4``: argparse would read the value as an option."""
+    out = []
+    for token in argv:
+        if (out and token.startswith("-") and _is_number(token)
+                and out[-1].startswith("--") and "=" not in out[-1]
+                and out[-1] not in ("--", *FLAGS)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

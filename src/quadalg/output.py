@@ -3,7 +3,10 @@
 All floats are printed with 17 significant digits so repeated runs produce
 byte-identical output; dictionaries serialize in insertion order.  A JSON
 array may be given as a list, a tuple or a generator, which is consumed
-only when the document is written.
+only when the document is written; a :class:`JSONFragment` is written as
+it is.  A non-finite float raises :class:`NonFiniteError`, which names the
+key path of the offending value: no document or CSV table holds a NaN or
+an infinity.
 """
 
 from __future__ import annotations
@@ -15,11 +18,26 @@ from types import GeneratorType
 from typing import Any, Iterable, Sequence, TextIO
 
 
+class NonFiniteError(ArithmeticError):
+    """A NaN or infinite float reached the emitter; ``path`` locates it."""
+
+    path = ""
+
+    def within(self, key) -> "NonFiniteError":
+        self.path = (f"[{key}]" if isinstance(key, int) else f".{key}") + self.path
+        return self
+
+    def __str__(self) -> str:
+        return f"non-finite value {self.args[0]!r} at {self.path.lstrip('.') or 'top level'}"
+
+
+class JSONFragment(str):
+    """Already rendered JSON, written verbatim by :func:`json_dumps`."""
+
+
 def fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
+    if not math.isfinite(x):
+        raise NonFiniteError(float(x))
     return format(float(x), ".17g")
 
 
@@ -36,20 +54,52 @@ def _fmt_value(v) -> str:
         return _fmt_value(str(v))
     if isinstance(v, complex):
         return _fmt_value({"re": v.real, "im": v.imag})
+    if isinstance(v, JSONFragment):
+        return v
     if isinstance(v, str):
         out = v.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
     if isinstance(v, dict):
-        inner = ", ".join(f"{_fmt_value(str(k))}: {_fmt_value(x)}" for k, x in v.items())
-        return "{" + inner + "}"
+        items = []
+        for k, x in v.items():
+            try:
+                items.append(f"{_fmt_value(str(k))}: {_fmt_value(x)}")
+            except NonFiniteError as exc:
+                raise exc.within(str(k))
+        return "{" + ", ".join(items) + "}"
     if isinstance(v, (list, tuple, GeneratorType)):
-        return "[" + ", ".join(_fmt_value(x) for x in v) + "]"
+        items = []
+        try:
+            for x in v:
+                items.append(_fmt_value(x))
+        except NonFiniteError as exc:
+            raise exc.within(len(items))
+        return "[" + ", ".join(items) + "]"
     raise TypeError(f"cannot serialize {type(v).__name__} deterministically")
 
 
 def json_dumps(obj: Any) -> str:
     """Compact JSON with fixed float formatting and insertion-ordered keys."""
     return _fmt_value(obj)
+
+
+def diag_matrix_json(values: Sequence[float], offset: int) -> JSONFragment:
+    """JSON of the dense square matrix ``numpy.diag(values, offset)``, row-major.
+
+    The matrix is never built: each row holds at most one entry, so it is
+    written by string repetition around that entry, and all rows without
+    one share a single string.  The bytes equal ``json_dumps`` of the
+    dense matrix's ``tolist()``.
+    """
+    d = len(values) + abs(offset)
+    zero = fmt_float(0.0)
+    head, tail = zero + ", ", ", " + zero
+    rows = ["[" + ", ".join([zero] * d) + "]"] * d
+    first_row, first_col = max(-offset, 0), max(offset, 0)
+    for i, x in enumerate(values):
+        col = first_col + i
+        rows[first_row + i] = "[" + head * col + fmt_float(x) + tail * (d - col - 1) + "]"
+    return JSONFragment("[" + ", ".join(rows) + "]")
 
 
 def csv_cell(v) -> str:
@@ -67,4 +117,11 @@ def write_csv(stream: TextIO, header: Sequence[str], rows: Iterable[Sequence]) -
     """CSV rows ended by '\\n'; a cell holding ',', '"' or a line break is quoted."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([csv_cell(v) for v in row] for row in rows)
+    for n, row in enumerate(rows):
+        cells = []
+        try:
+            for v in row:
+                cells.append(csv_cell(v))
+        except NonFiniteError as exc:
+            raise exc.within(header[len(cells)]).within(n)
+        writer.writerow(cells)

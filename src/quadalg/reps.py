@@ -15,8 +15,9 @@ values are kept on the representation for exact-arithmetic checks.
 
 A representation is its band: the diagonal of ``q0`` and the raising entries
 below it.  Checks contract the band in O(d) with the float operations of the
-dense products (every other term of a bidiagonal product is an exact zero);
-dense matrices are built only on demand.
+dense products (every other term of a bidiagonal product is an exact zero),
+and ``rep_to_dict`` writes the dense JSON from the band.  No library code
+reads the dense matrices; they are built only on demand.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from .errors import InvalidLabelError
 from . import polyalg
+from .output import diag_matrix_json
 from .polyalg import RationalPoly, as_fraction
 
 
@@ -387,12 +389,17 @@ def label_fields(rep: Representation) -> dict:
 
 
 def rep_to_dict(rep: Representation) -> dict:
-    """JSON-ready document with row-major dense matrices as IEEE doubles."""
+    """JSON-ready document with row-major dense matrices as IEEE doubles.
+
+    ``qp`` and ``qm`` are written from the band as pre-rendered JSON; the
+    dense matrices are never built.
+    """
     doc = label_fields(rep)
     doc["truncated"] = rep.truncated
     doc["q0"] = rep.diag.tolist()
-    doc["qp"] = rep.qp.tolist()
-    doc["qm"] = rep.qm.tolist()
+    raising = rep.raising.tolist()
+    doc["qp"] = diag_matrix_json(raising, -1)
+    doc["qm"] = diag_matrix_json(raising, 1)
     rep_c = casimir_value(rep)
     doc["casimir"] = {
         "value": rep_c.value,

@@ -17,6 +17,14 @@ from quadalg import reps
 from quadalg.polyalg import CasimirPoly
 
 
+def rep_ladder_matrices(rep):
+    """Dense ``qp``, ``qm`` of a ladder representation, filled entry by entry."""
+    qp, qm = np.zeros((rep.dim, rep.dim)), np.zeros((rep.dim, rep.dim))
+    for n, x in enumerate(rep.raising):
+        qp[n + 1, n] = qm[n, n + 1] = x
+    return qp, qm
+
+
 def eval_matrix(poly, m):
     """Evaluate a RationalPoly on a square matrix by Horner's rule."""
     d = m.shape[0]

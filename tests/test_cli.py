@@ -309,6 +309,43 @@ def test_arithmetic_error_exits_3(capsys):
     assert "Traceback" not in err
 
 
+NAN_PROBE = ("coherent", "--family=perelomov-c", "--k=1/2", "--l=801/4", "--param=0.5")
+
+
+@pytest.mark.parametrize("fmt, path", [("json", "norm_constant"), ("csv", "[0].re")])
+def test_non_finite_output_exits_3(capsys, fmt, path):
+    # the perelomov-c norm overflows at this label, so the state holds NaNs
+    code, out, err = run(capsys, *NAN_PROBE, f"--format={fmt}")
+    assert code == 3 and out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].endswith(f"at {path}")
+
+
+# argparse reads a negative value given as its own token as an option
+NEGATIVE_TOKENS = {
+    "casimir-l": (("casimir", "--sector", "noncompact", "--k", "3/2", "--l", "-1/4", "--dim", "8"),
+                  ("casimir", "--sector=noncompact", "--k=3/2", "--l=-1/4", "--dim=8")),
+    "coherent-param": (("coherent", "--family=perelomov-c", "--k=1", "--l=3/2", "--param",
+                        "-0.1+0.3j"),
+                       ("coherent", "--family=perelomov-c", "--k=1", "--l=3/2",
+                        "--param=-0.1+0.3j")),
+}
+
+
+@pytest.mark.parametrize("apart, joined", list(NEGATIVE_TOKENS.values()), ids=list(NEGATIVE_TOKENS))
+def test_negative_value_as_separate_token(capsys, apart, joined):
+    want = run(capsys, *joined)
+    assert want[0] == 0
+    assert run(capsys, *apart) == want
+
+
+def test_flag_does_not_take_a_negative_value(capsys):
+    code, out, err = run(capsys, "coherent", "--family=perelomov-c", "--k=1", "--l=3/2",
+                         "--param=0.3", "--gamma-form", "-1")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: -1" in err
+
+
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
 
@@ -355,8 +392,10 @@ LABELS = ["0", "1/4", "1/2", "1/3", "3/4", "1", "3/2", "9/4", "5/2", "41/4", "-1
 
 
 def _opt(name, values):
-    """``--name=value`` for a drawn value, or nothing."""
-    return st.one_of(st.just(()), st.sampled_from(values).map(lambda v: (f"--{name}={v}",)))
+    """``--name=value`` or ``--name value`` for a drawn value, or nothing."""
+    joined = st.sampled_from(values).map(lambda v: (f"--{name}={v}",))
+    apart = st.sampled_from(values).map(lambda v: (f"--{name}", str(v)))
+    return st.one_of(st.just(()), joined, apart)
 
 
 def _argv(command, *options):
@@ -393,3 +432,5 @@ def test_generated_argv_never_tracebacks(argv):
         code = main(argv)
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()

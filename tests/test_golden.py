@@ -15,7 +15,9 @@ for all four kinds (default and explicit sizes), ``spectrum`` up to N = 12,
 ``measure`` (kummer, both moment tables, resolution; exit 3 at ``--tol=0``)
 and the two Perelomov families of ``coherent``.  The four non-fermion
 ``deform`` CSV digests were recorded after CSV cells became quoted: their
-``residuals`` cell holds inline JSON with commas and quotes.
+``residuals`` cell holds inline JSON with commas and quotes.  The two
+d = 2048 ``rep`` JSON digests were recorded from the dense
+``tolist()`` serialization of ``qp``/``qm``, which ``rep`` no longer builds.
 """
 
 import csv
@@ -23,6 +25,7 @@ import hashlib
 
 import pytest
 
+from quadalg import reps
 from quadalg.cli import main
 
 # argv -> (exit code, sha256 of stdout)
@@ -331,6 +334,10 @@ GOLDEN = {
         (0, "43d959af1c84cef779ca4b7d752328c6a871da56e2cc4b0c1dcc3868d6755689"),
     "coherent --family=perelomov-c --k=3/2 --l=17/4 --param=2+1j --gamma-form --format=csv":
         (0, "14169a8d4f329cf1fc423c1282846aa3b42a608a39a4891fed350237d4b63d71"),
+    "rep --sector=noncompact --k=1/2 --l=1/4 --dim=2048 --format=json":
+        (0, "c3edd37d8e00cd2fc7c755a155595deda7f837cd261a560bc6daf0cc9923bc96"),
+    "rep --sector=su2 --j=2047/2 --format=json":
+        (0, "fa912f7d458b167bbc72a739701c33229837370160d2c55f02024228f5e6d8eb"),
 }
 
 
@@ -346,3 +353,13 @@ def test_csv_rows_as_wide_as_header(argv, capsys):
     main(argv.split())
     rows = list(csv.reader(capsys.readouterr().out.splitlines()))
     assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+
+
+@pytest.mark.parametrize("argv", [a for a in GOLDEN if a.startswith("rep ") and "json" in a])
+def test_rep_json_builds_no_dense_matrix(argv, capsys, monkeypatch):
+    def dense(self):
+        raise AssertionError("a dense ladder matrix was read")
+
+    for name in ("q0", "qp", "qm"):
+        monkeypatch.setattr(reps.Representation, name, property(dense))
+    test_stdout_bytes(argv, capsys)

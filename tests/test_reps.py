@@ -1,5 +1,6 @@
 """Closed-form representation matrices: examples, invariants, serialization."""
 
+import json
 import math
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadalg import defosc, reps
 from quadalg.errors import InvalidLabelError
+from quadalg.output import json_dumps
 from quadalg.reps import AlgebraLabel
 
 import dense_oracle
@@ -187,7 +189,8 @@ def test_compact_label_roundtrip(twok, step):
 
 def test_serialization_schema():
     rep = reps.noncompact_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 3)
-    doc = reps.rep_to_dict(rep)
+    # qp/qm are pre-rendered JSON, so the schema is read from the written document
+    doc = json.loads(json_dumps(reps.rep_to_dict(rep)))
     assert list(doc)[:3] == ["sector", "k", "l"]
     assert doc["sector"] == "noncompact" and doc["k"] == "1/2" and doc["l"] == "1/4"
     assert doc["dim"] == 3
@@ -230,3 +233,15 @@ def test_band_formulas_equal_dense_oracle(rep):
     if isinstance(rep.label, AlgebraLabel) and rep.label.sector == "compact":
         osc = defosc.deform(rep)
         assert defosc.commutator_residuals(osc) == dense_oracle.commutator_residuals(rep, osc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladder_reps())
+@example(reps.compact_rep(AlgebraLabel.compact(F(1, 2), F(1, 4))))
+@example(reps.su2_rep(F(1, 2)))
+def test_band_json_equals_dense_oracle(rep):
+    # the oracle's dense matrices, serialized element by element
+    qp, qm = dense_oracle.rep_ladder_matrices(rep)
+    want = reps.rep_to_dict(rep)
+    want["qp"], want["qm"] = qp.tolist(), qm.tolist()
+    assert json_dumps(reps.rep_to_dict(rep)) == json_dumps(want)
