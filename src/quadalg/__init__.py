@@ -29,7 +29,7 @@ from .reps import (
     two_dim_family,
 )
 from .fock3 import FockSpace, RealizedOperators, realize_compact, realize_noncompact, realize_two_mode, verify_realization
-from .diffreal import DiffOp, MonomialBasis, build_realization, matrix_elements
+from .diffreal import DiffOp, MonomialBasis, band_elements, build_realization
 from .coherent import (
     CoherentState,
     HypergeomResult,

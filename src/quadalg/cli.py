@@ -16,8 +16,9 @@ is fixed and floats are printed with 17 significant digits.
 
 The environment variable QUADALG_MAX_DIM (default 4096) caps every
 dimension a label or option fixes: truncation dimensions, the dimension of
-compact and su2 representations, and the number of Fock states of
-``verify``.  A request past the cap exits 2 before anything is built.
+compact and su2 representations, the number of Fock states of ``verify``,
+the levels 0..--to of ``spectrum`` and the moments 0..--max-n of
+``measure``.  A request past the cap exits 2 before anything is built.
 """
 
 from __future__ import annotations
@@ -92,12 +93,12 @@ def _cutoffs(text: str) -> tuple[int, ...]:
     return parts
 
 
-def _check_dim(dim: int) -> int:
+def _check_dim(dim: int, what: str = "dimension") -> int:
     cap = _max_dim()
     if dim > cap:
-        raise InvalidLabelError(f"dimension {dim} exceeds QUADALG_MAX_DIM = {cap}")
+        raise InvalidLabelError(f"{what} {dim} exceeds QUADALG_MAX_DIM = {cap}")
     if dim < 1:
-        raise InvalidLabelError("dimension must be >= 1")
+        raise InvalidLabelError(f"{what} must be >= 1")
     return dim
 
 
@@ -187,18 +188,12 @@ def _cmd_verify(args):
 def _cmd_diffcheck(args):
     rep = _build_rep(args, DIFF_SECTORS[args.kind], args.size, 8)
     real = diffreal.build_realization(args.kind, rep.label, rep.dim if rep.truncated else None)
-    tables = diffreal.matrix_elements(real)
+    bands, off_diag_clean = diffreal.band_elements(real)
     agree = {
-        "q0": all(tables["q0"][n][n] == diffreal.signed_square(rep.q0_diag[n])
-                  for n in range(rep.dim)),
-        "qp": all(tables["qp"][n + 1][n] == rep.qp_sq[n] for n in range(rep.dim - 1)),
-        "qm": all(tables["qm"][n][n + 1] == rep.qp_sq[n] for n in range(rep.dim - 1)),
+        "q0": bands["q0"] == tuple(diffreal.signed_square(x) for x in rep.q0_diag),
+        "qp": bands["qp"] == rep.qp_sq,
+        "qm": bands["qm"] == rep.qp_sq,
     }
-    off_diag_clean = all(
-        tables[g][m][n] == 0
-        for g, offset in (("q0", 0), ("qp", 1), ("qm", -1))
-        for m in range(rep.dim) for n in range(rep.dim) if m != n + offset
-    )
     doc = {
         "kind": args.kind,
         "size": rep.dim,
@@ -261,6 +256,7 @@ def _cmd_measure(args):
         return (doc, (("a", "b", "c", "numeric", "analytic", "rel_error"), rows),
                 0 if res.rel_error <= args.tol else 3)
     if args.check in ("bg-moments", "perelomov-moments"):
+        _check_dim(args.max_n + 1, "moment count")
         label = _label(args, "noncompact")
         fn = (measures.bg_moment_target if args.check == "bg-moments"
               else measures.perelomov_moment_target)
@@ -280,6 +276,7 @@ def _cmd_measure(args):
 def _cmd_spectrum(args):
     if args.to < args.from_ or args.from_ < 0:
         raise InvalidLabelError("need 0 <= --from <= --to")
+    _check_dim(args.to + 1, "level count")
     reports = [spectrum.level_report(n) for n in range(args.from_, args.to + 1)]
     doc = (
         {

@@ -336,7 +336,8 @@ def perelomov_compact(label: AlgebraLabel, parameter: complex,
             coeffs[n] = c
             if n < dim - 1:
                 c = c * par * math.sqrt((2 * k + n) * (s - n) / (n + 1))
-        norm_sq = float(np.sum(np.abs(coeffs) ** 2))
+        with np.errstate(over="ignore"):  # an overflow is left for the non-finite gate
+            norm_sq = float(np.sum(np.abs(coeffs) ** 2))
         provenance = {"series": "finite-sum", "terms": dim, "norm_sq": norm_sq}
     else:
         if par == 0:

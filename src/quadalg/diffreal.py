@@ -2,9 +2,12 @@
 
 Each algebra acts on monomial bases z^n / sqrt(N_n) with integer squared
 norms N_n; the generators are differential operators of order at most three
-with rational polynomial coefficients.  Everything here is symbolic: matrix
-elements come out as sign-carrying squared rationals, so the equivalence
-with the closed-form matrices can be asserted with no tolerance at all.
+with rational polynomial coefficients.  A term c z^j d^i/dz^i maps z^n to
+c n!/(n-i)! z^(n-i+j), so a generator's image of a monomial is a few
+monomials, and its matrix elements follow in closed form on the band in
+O(size).  They come out as sign-carrying squared rationals, so the
+equivalence with the closed-form matrices can be asserted with no tolerance
+at all.
 """
 
 from __future__ import annotations
@@ -34,36 +37,23 @@ class DiffOp:
             if not isinstance(coeff, RationalPoly):
                 raise TypeError("coefficients must be RationalPoly")
 
-    def apply(self, poly: RationalPoly) -> RationalPoly:
-        """Exact symbolic application to a rational polynomial."""
-        out = RationalPoly.zero()
-        for order, coeff in self.terms:
-            p = poly
-            for _ in range(order):
-                p = p.derivative()
-            out = out + coeff * p
-        return out
-
-    def commutator_apply(self, other: "DiffOp", poly: RationalPoly) -> RationalPoly:
-        return self.apply(other.apply(poly)) - other.apply(self.apply(poly))
-
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Monomial basis z^n / sqrt(N_n), with the exact squared norms N_n.
+    """Monomial basis z^n / sqrt(N_n), given by the exact ratios N_(n+1) / N_n.
 
     ``truncated`` marks bases cut out of an infinite family, for which the
     raising image of the top function is allowed to leave the span.
     """
 
     label: AnyLabel
-    squared_norms: tuple[Fraction, ...]
+    norm_ratios: tuple[Fraction, ...]
     size: int
     truncated: bool
 
     def __post_init__(self):
-        if any(n <= 0 for n in self.squared_norms):
-            raise ValueError("squared norms must be positive")
+        if any(r <= 0 for r in self.norm_ratios):
+            raise ValueError("norm ratios must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,13 +83,13 @@ def build_realization(kind: str, label, size: Optional[int] = None) -> DiffReali
     if kind == "su2":
         lab = label if isinstance(label, Su2Label) else Su2Label(as_fraction(label))
         j = lab.j
-        dim = int(2 * j) + 1
+        twoj = int(2 * j)
         q0 = _op((1, [0, 1]), (0, [-j]))
         qp = _op((1, [0, 0, -1]), (0, [0, 2 * j]))
         qm = _op((1, [1]))
-        norms = tuple(Fraction(math.factorial(n) * math.factorial(int(2 * j) - n))
-                      for n in range(dim))
-        return DiffRealization(q0, qp, qm, MonomialBasis(lab, norms, dim, False))
+        # N_n = n! (2j-n)!
+        ratios = tuple(Fraction(n + 1, twoj - n) for n in range(twoj))
+        return DiffRealization(q0, qp, qm, MonomialBasis(lab, ratios, twoj + 1, False))
 
     if kind == "su11":
         lab = label if isinstance(label, Su11Label) else Su11Label(as_fraction(label))
@@ -108,28 +98,26 @@ def build_realization(kind: str, label, size: Optional[int] = None) -> DiffReali
             raise InvalidLabelError(f"su11 realization needs 2k a positive integer, got k={k}")
         if size is None or size < 1:
             raise ValueError("su11 basis is infinite; a positive size is required")
+        twok = int(2 * k)
         q0 = _op((1, [0, 1]), (0, [k]))
         qp = _op((0, [0, 1]))
         qm = _op((2, [0, 1]), (1, [2 * k]))
-        norms = tuple(Fraction(math.factorial(n) * math.factorial(n + int(2 * k) - 1))
-                      for n in range(size))
-        return DiffRealization(q0, qp, qm, MonomialBasis(lab, norms, size, True))
+        # N_n = n! (n+2k-1)!
+        ratios = tuple(Fraction((n + 1) * (n + twok)) for n in range(size - 1))
+        return DiffRealization(q0, qp, qm, MonomialBasis(lab, ratios, size, True))
 
     if kind == "compactQ":
         lab: AlgebraLabel = label
         if lab.sector != "compact":
             raise InvalidLabelError("compactQ needs a compact label")
         k, l = lab.k, lab.l
-        dim = lab.dim
+        twok, step = int(2 * k), lab.step
         q0 = _op((1, [0, 1]), (0, [k - l]))
         qp = _op((1, [0, 0, -1]), (0, [0, 2 * l - k]))
         qm = _op((2, [0, 1]), (1, [2 * k]))
-        norms = tuple(
-            Fraction(math.factorial(n)
-                     * math.factorial(n + int(2 * k) - 1)
-                     * math.factorial(int(2 * l - k) - n))
-            for n in range(dim))
-        return DiffRealization(q0, qp, qm, MonomialBasis(lab, norms, dim, False))
+        # N_n = n! (n+2k-1)! (2l-k-n)!
+        ratios = tuple(Fraction((n + 1) * (n + twok), step - n) for n in range(step))
+        return DiffRealization(q0, qp, qm, MonomialBasis(lab, ratios, lab.dim, False))
 
     if kind == "noncompactQ":
         lab = label
@@ -138,38 +126,52 @@ def build_realization(kind: str, label, size: Optional[int] = None) -> DiffReali
         if size is None or size < 1:
             raise ValueError("noncompactQ basis is infinite; a positive size is required")
         k, l = lab.k, lab.l
+        twok, step = int(2 * k), lab.step
         q0 = _op((1, [0, 1]), (0, [k - l]))
         qp = _op((0, [0, 1]))
         qm = _op((3, [0, 0, 1]), (2, [0, 3 * k - 2 * l + 2]),
                  (1, [2 * k * k - 4 * k * l + 2 * k]))
-        norms = tuple(
-            Fraction(math.factorial(n)
-                     * math.factorial(n + int(2 * k) - 1)
-                     * math.factorial(n + int(k - 2 * l)))
-            for n in range(size))
-        return DiffRealization(q0, qp, qm, MonomialBasis(lab, norms, size, True))
+        # N_n = n! (n+2k-1)! (n+k-2l)!
+        ratios = tuple(Fraction((n + 1) * (n + twok) * (n + 1 + step)) for n in range(size - 1))
+        return DiffRealization(q0, qp, qm, MonomialBasis(lab, ratios, size, True))
 
     raise ValueError(f"unknown realization kind {kind!r}")
 
 
-def matrix_elements(real: DiffRealization) -> dict[str, list[list[Fraction]]]:
-    """Signed squared matrix elements of each generator on the basis.
+def _image(op: DiffOp, n: int) -> dict[int, Fraction]:
+    """Coefficients of op(z^n) by power: c z^j d^i/dz^i maps z^n to c n!/(n-i)! z^(n-i+j)."""
+    out: dict[int, Fraction] = {}
+    for order, coeff in op.terms:
+        fall = math.perm(n, order)
+        if fall:
+            for j, c in enumerate(coeff.coeffs):
+                if c:
+                    power = n - order + j
+                    out[power] = out.get(power, 0) + c * fall
+    return out
 
-    Entry [m][n] is sign(c) * c^2 * N_m / N_n for the coefficient c of the
+
+def band_elements(real: DiffRealization) -> tuple[dict[str, tuple[Fraction, ...]], bool]:
+    """Signed squared matrix elements of each generator on the band, and the off-band verdict.
+
+    Element (m, n) is sign(c) * c^2 * N_m / N_n for the coefficient c of the
     m-th basis function in the image of the n-th; elements of these
     realizations are square roots of rationals, so this representation is
-    exact.  Raises :class:`BasisSpanError` if an image leaves the span,
-    except for the raising overflow out of a truncated basis, which is
-    dropped to mirror the matrix truncation.
+    exact.  In the layout of :class:`~quadalg.reps.Representation`,
+    ``q0[n]`` is element (n, n), ``qp[n]`` element (n+1, n) and ``qm[n]``
+    element (n, n+1).  The verdict is false if any image has a non-zero
+    coefficient off the band.  Raises :class:`BasisSpanError` if an image
+    leaves the span, except for the raising overflow out of a truncated
+    basis, which is dropped to mirror the matrix truncation.
     """
     basis = real.basis
-    size = basis.size
-    tables: dict[str, list[list[Fraction]]] = {}
-    for name, op in real.generators.items():
-        table = [[Fraction(0)] * size for _ in range(size)]
+    size, ratios = basis.size, basis.norm_ratios
+    bands: dict[str, tuple[Fraction, ...]] = {}
+    clean = True
+    for (name, op), offset in zip(real.generators.items(), (0, 1, -1)):
+        band = [Fraction(0)] * (size - abs(offset))
         for n in range(size):
-            image = op.apply(RationalPoly.monomial(n))
-            for power, c in enumerate(image.coeffs):
+            for power, c in _image(op, n).items():
                 if c == 0:
                     continue
                 if power >= size:
@@ -177,10 +179,16 @@ def matrix_elements(real: DiffRealization) -> dict[str, list[list[Fraction]]]:
                         continue
                     raise BasisSpanError(
                         f"{name} maps basis function {n} onto z^{power}, outside the span")
-                sign = 1 if c > 0 else -1
-                table[power][n] = sign * c * c * basis.squared_norms[power] / basis.squared_norms[n]
-        tables[name] = table
-    return tables
+                if power != n + offset:
+                    clean = False
+                elif offset == 0:
+                    band[n] = signed_square(c)
+                elif offset == 1:
+                    band[n] = signed_square(c) * ratios[n]
+                else:
+                    band[power] = signed_square(c) / ratios[power]
+        bands[name] = tuple(band)
+    return bands, clean
 
 
 def signed_square(x: Union[int, Fraction]) -> Fraction:

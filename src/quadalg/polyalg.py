@@ -115,9 +115,6 @@ class RationalPoly:
             power = power * xh
         return out
 
-    def derivative(self) -> "RationalPoly":
-        return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "RationalPoly(0)"

@@ -56,17 +56,11 @@ def decompose_level(N: int) -> tuple[LevelPart, ...]:
     """
     if N < 0:
         raise ValueError("level index must be >= 0")
-    l = Fraction(N + 1, 4)
-    parts = []
-    twok = 1 if (N + 1) % 2 == 1 else 2
-    while twok <= 2 * (2 * l):  # k <= 2l keeps the dimension positive
-        k = Fraction(twok, 2)
-        step = 2 * l - k
-        if step.denominator == 1 and step >= 0:
-            parts.append(LevelPart(k=k, dim=int(step) + 1,
-                                   multiplicity=1 if twok == 1 else 2))
-        twok += 2
-    return tuple(parts)
+    # 2l - k = (N + 1 - 2k)/2 is an integer when 2k has the parity of N + 1,
+    # and non-negative up to 2k = N + 1
+    return tuple(LevelPart(k=Fraction(twok, 2), dim=(N + 1 - twok) // 2 + 1,
+                           multiplicity=1 if twok == 1 else 2)
+                 for twok in range(2 - (N + 1) % 2, N + 2, 2))
 
 
 def degeneracy_formula(N: int) -> int:

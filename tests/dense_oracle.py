@@ -1,20 +1,24 @@
-"""Dense-matrix reference for the band formulas of ``reps``, ``defosc`` and ``fock3``.
+"""Dense reference for the band formulas of ``reps``, ``defosc``, ``fock3`` and ``diffreal``.
 
 These are the contractions the library performed before a ladder
-representation became band data and a Fock realization per-state data:
-full d x d matrix products and Horner's rule over matrices.  They are kept
-here only as a test oracle; the library formulas must reproduce them bit
-for bit.
+representation became band data, a Fock realization per-state data and a
+differential realization closed-form bands: full d x d matrix products,
+Horner's rule over matrices, and symbolic application of differential
+operators to whole polynomials.  They are kept here only as a test oracle;
+the library formulas must reproduce them bit for bit.
 """
 
 import itertools
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
 
 from quadalg import reps
-from quadalg.polyalg import CasimirPoly
+from quadalg.errors import BasisSpanError
+from quadalg.polyalg import CasimirPoly, RationalPoly
 
 
 def rep_ladder_matrices(rep):
@@ -194,3 +198,66 @@ def verify_realization(ops):
     return {"sector": ops.sector, "dim": ops.dim, "interior_count": n_int,
             "boundary_count": ops.dim - n_int, "residuals": residuals,
             "max_residual": max(residuals.values())}
+
+
+# ---------------------------------------------------------------------------
+# Differential realizations: the symbolic application and the dense tables
+# that ``diffreal`` computed before its elements became closed-form bands.
+# The squared norms are the factorial products, independent of the ratios
+# ``MonomialBasis.norm_ratios``.
+
+
+def derivative(poly):
+    return RationalPoly([i * c for i, c in enumerate(poly.coeffs)][1:])
+
+
+def apply(op, poly):
+    """Exact symbolic application of a ``DiffOp`` to a rational polynomial."""
+    out = RationalPoly.zero()
+    for order, coeff in op.terms:
+        p = poly
+        for _ in range(order):
+            p = derivative(p)
+        out = out + coeff * p
+    return out
+
+
+def commutator_apply(a, b, poly):
+    return apply(a, apply(b, poly)) - apply(b, apply(a, poly))
+
+
+def squared_norms(basis):
+    """The factorial squared norms N_n of a monomial basis, from its label."""
+    label, f = basis.label, math.factorial
+    if isinstance(label, reps.Su2Label):
+        twoj = int(2 * label.j)
+        return [Fraction(f(n) * f(twoj - n)) for n in range(basis.size)]
+    twok = int(2 * label.k)
+    if isinstance(label, reps.Su11Label):
+        return [Fraction(f(n) * f(n + twok - 1)) for n in range(basis.size)]
+    if label.sector == "compact":
+        return [Fraction(f(n) * f(n + twok - 1) * f(label.step - n)) for n in range(basis.size)]
+    return [Fraction(f(n) * f(n + twok - 1) * f(n + label.step)) for n in range(basis.size)]
+
+
+def matrix_elements(real):
+    """Dense signed squared tables: entry [m][n] is sign(c) c^2 N_m / N_n."""
+    basis = real.basis
+    size, norms = basis.size, squared_norms(basis)
+    tables = {}
+    for name, op in real.generators.items():
+        table = [[Fraction(0)] * size for _ in range(size)]
+        for n in range(size):
+            image = apply(op, RationalPoly.monomial(n))
+            for power, c in enumerate(image.coeffs):
+                if c == 0:
+                    continue
+                if power >= size:
+                    if basis.truncated and name == "qp" and n == size - 1 and power == size:
+                        continue
+                    raise BasisSpanError(
+                        f"{name} maps basis function {n} onto z^{power}, outside the span")
+                sign = 1 if c > 0 else -1
+                table[power][n] = sign * c * c * norms[power] / norms[n]
+        tables[name] = table
+    return tables

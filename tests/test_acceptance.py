@@ -102,11 +102,11 @@ def test_criterion_3_realization_equivalence():
         for step in range(0, 10):                    # dims <= 10
             k = F(twok, 2)
             label = AlgebraLabel.compact(k, (k + step) / 2)
-            tables = diffreal.matrix_elements(diffreal.build_realization("compactQ", label))
+            bands, _ = diffreal.band_elements(diffreal.build_realization("compactQ", label))
             rep = reps.compact_rep(label)
-            exact_ok &= all(tables["qp"][n + 1][n] == rep.qp_sq[n]
+            exact_ok &= all(bands["qp"][n] == rep.qp_sq[n]
                             for n in range(rep.dim - 1))
-            exact_ok &= all(tables["q0"][n][n] == diffreal.signed_square(rep.q0_diag[n])
+            exact_ok &= all(bands["q0"][n] == diffreal.signed_square(rep.q0_diag[n])
                             for n in range(rep.dim))
     _report(3, "fock/matrix equivalence (1e-12, 10 labels) and exact symbolic elements",
             n_checked == 10 and worst <= 1e-12 and exact_ok,

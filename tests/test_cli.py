@@ -1,6 +1,7 @@
 """Command-line behaviour: output schemas, determinism, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -8,8 +9,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from quadalg import fock3
+from quadalg import diffreal, fock3, reps
 from quadalg.cli import main
+from quadalg.diffreal import DiffOp
+from quadalg.polyalg import RationalPoly
 
 
 def run(capsys, *argv):
@@ -132,6 +135,56 @@ def test_diffcheck(capsys):
     code2, out2, _ = run(capsys, "diffcheck", "--kind", "noncompactQ",
                          "--k", "1/2", "--l", "1/4", "--size", "7")
     assert code2 == 0 and json.loads(out2)["equal"] is True
+
+
+# diffcheck options whose basis has ``size`` functions, per kind
+DIFFCHECK_AT_SIZE = {
+    "su2": lambda size: (f"--j={size - 1}/2",),
+    "su11": lambda size: ("--k=1/2", f"--size={size}"),
+    "compactQ": lambda size: ("--k=1/2", f"--l={2 * size - 1}/4"),
+    "noncompactQ": lambda size: ("--k=1/2", "--l=1/4", f"--size={size}"),
+}
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+@pytest.mark.parametrize("size", [8, 120, 4096])
+@pytest.mark.parametrize("kind", list(DIFFCHECK_AT_SIZE))
+def test_diffcheck_detects_a_moved_square(capsys, monkeypatch, kind, size, shift):
+    # one squared raising entry of the matrices, in the middle of the band, moved by shift
+    for name in ("su2_rep", "su11_rep", "compact_rep", "noncompact_rep"):
+        def moved(*args, build=getattr(reps, name)):
+            rep = build(*args)
+            squares = list(rep.qp_sq)
+            squares[len(squares) // 2] += shift
+            return dataclasses.replace(rep, qp_sq=tuple(squares))
+
+        monkeypatch.setattr(reps, name, moved)
+    code, out, _ = run(capsys, "diffcheck", f"--kind={kind}", *DIFFCHECK_AT_SIZE[kind](size))
+    doc = json.loads(out)
+    assert doc["size"] == size and doc["off_diagonal_clean"] is True
+    assert doc["agree"] == {"q0": True, "qp": shift == 0, "qm": shift == 0}
+    assert doc["equal"] is (shift == 0) and code == (0 if shift == 0 else 3)
+
+
+# a term of each generator whose degree shift is not the generator's own
+WRONG_SHIFT = {"q0": (1, [1]), "qp": (0, [1]), "qm": (1, [0, 1])}  # d/dz, 1, z d/dz
+
+
+@pytest.mark.parametrize("generator", list(WRONG_SHIFT))
+def test_diffcheck_detects_a_wrong_degree_shift(capsys, monkeypatch, generator):
+    build = diffreal.build_realization
+
+    def skewed(*args):
+        real = build(*args)
+        order, coeffs = WRONG_SHIFT[generator]
+        terms = getattr(real, generator).terms + ((order, RationalPoly(coeffs)),)
+        return dataclasses.replace(real, **{generator: DiffOp(terms)})
+
+    monkeypatch.setattr(diffreal, "build_realization", skewed)
+    code, out, _ = run(capsys, "diffcheck", "--kind=compactQ", "--k=1", "--l=3")
+    doc = json.loads(out)
+    assert code == 3 and doc["equal"] is False and doc["off_diagonal_clean"] is False
+    assert all(doc["agree"].values())
 
 
 def test_coherent_bg_json_and_csv(capsys):
@@ -321,6 +374,14 @@ def test_non_finite_output_exits_3(capsys, fmt, path):
     assert len(errors) == 1 and errors[0].endswith(f"at {path}")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("l", ["501/4", "751/4", "801/4"])
+def test_overflowed_norm_prints_one_stderr_line(capsys, l):
+    code, out, err = run(capsys, *NAN_PROBE[:3], f"--l={l}", "--param=0.5")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # argparse reads a negative value given as its own token as an option
 NEGATIVE_TOKENS = {
     "casimir-l": (("casimir", "--sector", "noncompact", "--k", "3/2", "--l", "-1/4", "--dim", "8"),
@@ -375,6 +436,8 @@ LABEL_SIZED = {
     "diffcheck-compactQ": ("diffcheck", "--kind=compactQ", "--k=1/2", "--l=41/4"),
     "perelomov-c": ("coherent", "--family=perelomov-c", "--k=1/2", "--l=41/4", "--param=0.3"),
     "measure-resolution": ("measure", "--k=1/2", "--l=41/4"),
+    "spectrum-to": ("spectrum", "--from=0", "--to=8"),
+    "measure-max-n": ("measure", "--check=bg-moments", "--k=1/2", "--l=1/4", "--max-n=8"),
 }
 
 

@@ -3,12 +3,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadalg import diffreal, reps
-from quadalg.diffreal import DiffOp, DiffRealization, build_realization, matrix_elements, signed_square
+from quadalg.diffreal import DiffOp, DiffRealization, band_elements, build_realization, signed_square
 from quadalg.errors import BasisSpanError
 from quadalg.polyalg import RationalPoly
 from quadalg.reps import AlgebraLabel
+
+import dense_oracle as oracle
+from dense_oracle import apply, commutator_apply
 
 
 def _poly(*coeffs):
@@ -17,15 +22,15 @@ def _poly(*coeffs):
 
 def test_apply_basics():
     z_ddz = DiffOp(((1, _poly(0, 1)),))
-    assert z_ddz.apply(_poly(0, 0, 0, 1)) == _poly(0, 0, 0, 3)      # z d/dz z^3 = 3z^3
+    assert apply(z_ddz, _poly(0, 0, 0, 1)) == _poly(0, 0, 0, 3)     # z d/dz z^3 = 3z^3
     d2 = DiffOp(((2, _poly(1)),))
-    assert d2.apply(_poly(0, 1)) == RationalPoly([])                # d^2/dz^2 z = 0
+    assert apply(d2, _poly(0, 1)) == RationalPoly([])               # d^2/dz^2 z = 0
 
 
 def test_su2_highest_weight_annihilation():
     real = build_realization("su2", 1)
     # raising operator is -z^2 d/dz + 2z; it kills z^2
-    assert real.qp.apply(_poly(0, 0, 1)) == RationalPoly([])
+    assert apply(real.qp, _poly(0, 0, 1)) == RationalPoly([])
     assert real.qp.terms[0] == (1, _poly(0, 0, -1))
     assert real.qp.terms[1] == (0, _poly(0, 2))
 
@@ -34,7 +39,7 @@ def test_compactQ_q0_operator():
     real = build_realization("compactQ", AlgebraLabel.compact(1, 1))
     # z d/dz + (k - l) with k = l = 1
     assert real.q0.terms == ((1, _poly(0, 1)), (0, RationalPoly([])))
-    assert real.q0.apply(_poly(0, 1)) == _poly(0, 1)
+    assert apply(real.q0, _poly(0, 1)) == _poly(0, 1)
 
 
 def test_noncompactQ_lowering_operator():
@@ -50,25 +55,27 @@ def test_order_cap():
 
 def test_matrix_elements_compact_11():
     real = build_realization("compactQ", AlgebraLabel.compact(1, 1))
-    tables = matrix_elements(real)
-    assert tables["qp"][1][0] == 2            # squared element of sqrt(2)
-    assert tables["q0"][0][0] == 0
-    assert tables["q0"][1][1] == 1
-    assert tables["qm"][0][1] == 2
+    bands, _ = band_elements(real)
+    assert bands["qp"][0] == 2                # squared element (1, 0) of sqrt(2)
+    assert bands["q0"][0] == 0
+    assert bands["q0"][1] == 1
+    assert bands["qm"][0] == 2
 
 
 def test_matrix_elements_su11_half():
     real = build_realization("su11", F(1, 2), size=4)
-    tables = matrix_elements(real)
-    assert tables["qm"][0][1] == 1
-    assert tables["qm"][1][2] == 4
+    bands, _ = band_elements(real)
+    assert bands["qm"][0] == 1                # element (0, 1)
+    assert bands["qm"][1] == 4                # element (1, 2)
 
 
 def test_span_error_on_wrong_pairing():
     good = build_realization("su2", 1)
     wrong_basis = build_realization("su2", 2).basis
     with pytest.raises(BasisSpanError):
-        matrix_elements(DiffRealization(good.q0, good.qp, good.qm, wrong_basis))
+        band_elements(DiffRealization(good.q0, good.qp, good.qm, wrong_basis))
+    with pytest.raises(BasisSpanError):
+        oracle.matrix_elements(DiffRealization(good.q0, good.qp, good.qm, wrong_basis))
 
 
 def _compact_labels(max_dim):
@@ -89,24 +96,24 @@ def test_exact_equivalence_with_matrices_compact():
     for label in _compact_labels(10):
         real = build_realization("compactQ", label)
         rep = reps.compact_rep(label)
-        tables = matrix_elements(real)
+        bands, _ = band_elements(real)
         for n in range(rep.dim):
-            assert tables["q0"][n][n] == signed_square(rep.q0_diag[n])
+            assert bands["q0"][n] == signed_square(rep.q0_diag[n])
         for n in range(rep.dim - 1):
-            assert tables["qp"][n + 1][n] == rep.qp_sq[n]
-            assert tables["qm"][n][n + 1] == rep.qp_sq[n]
+            assert bands["qp"][n] == rep.qp_sq[n]
+            assert bands["qm"][n] == rep.qp_sq[n]
 
 
 def test_exact_equivalence_with_matrices_noncompact():
     for label in _noncompact_labels():
         real = build_realization("noncompactQ", label, size=10)
         rep = reps.noncompact_rep(label, 10)
-        tables = matrix_elements(real)
+        bands, _ = band_elements(real)
         for n in range(9):
-            assert tables["qp"][n + 1][n] == rep.qp_sq[n]
-            assert tables["qm"][n][n + 1] == rep.qp_sq[n]
+            assert bands["qp"][n] == rep.qp_sq[n]
+            assert bands["qm"][n] == rep.qp_sq[n]
         for n in range(10):
-            assert tables["q0"][n][n] == signed_square(rep.q0_diag[n])
+            assert bands["q0"][n] == signed_square(rep.q0_diag[n])
 
 
 def test_exact_equivalence_su2_su11():
@@ -114,26 +121,26 @@ def test_exact_equivalence_su2_su11():
         j = F(twoj, 2)
         real = build_realization("su2", j)
         rep = reps.su2_rep(j)
-        tables = matrix_elements(real)
+        bands, _ = band_elements(real)
         for n in range(rep.dim - 1):
-            assert tables["qp"][n + 1][n] == rep.qp_sq[n]
+            assert bands["qp"][n] == rep.qp_sq[n]
         for n in range(rep.dim):
-            assert tables["q0"][n][n] == signed_square(rep.q0_diag[n])
+            assert bands["q0"][n] == signed_square(rep.q0_diag[n])
     for twok in range(1, 7):
         k = F(twok, 2)
         real = build_realization("su11", k, size=9)
         rep = reps.su11_rep(k, 9)
-        tables = matrix_elements(real)
+        bands, _ = band_elements(real)
         for n in range(8):
-            assert tables["qp"][n + 1][n] == rep.qp_sq[n]
+            assert bands["qp"][n] == rep.qp_sq[n]
 
 
 def test_boundary_annihilation_exact():
     for label in _compact_labels(6):
         real = build_realization("compactQ", label)
         top = RationalPoly.monomial(label.dim - 1)
-        assert real.qp.apply(top) == RationalPoly([])
-        assert real.qm.apply(RationalPoly.monomial(0)) == RationalPoly([])
+        assert apply(real.qp, top) == RationalPoly([])
+        assert apply(real.qm, RationalPoly.monomial(0)) == RationalPoly([])
 
 
 def _apply_poly_of_op(p: RationalPoly, op: DiffOp, target: RationalPoly) -> RationalPoly:
@@ -141,7 +148,7 @@ def _apply_poly_of_op(p: RationalPoly, op: DiffOp, target: RationalPoly) -> Rati
     power = target
     for c in p.coeffs:
         out = out + c * power
-        power = op.apply(power)
+        power = apply(op, power)
     return out
 
 
@@ -163,7 +170,7 @@ def test_commutator_reproduces_structure_poly():
         f = reps.structure_poly(rep)
         for n in range(min(real.basis.size, 6)):
             mono = RationalPoly.monomial(n)
-            lhs = real.qp.commutator_apply(real.qm, mono)
+            lhs = commutator_apply(real.qp, real.qm, mono)
             rhs = _apply_poly_of_op(f, real.q0, mono)
             assert lhs == rhs, (kind, label, n)
 
@@ -194,6 +201,38 @@ def test_lowering_eigenfunction_series(label):
     # itself one order lower: qm Psi_M = alpha * Psi_(M-1), exactly
     real = build_realization("noncompactQ", label, size=12)
     alpha = F(3, 7)
-    lhs = real.qm.apply(_eigenfunction_poly(label, alpha, 9))
+    lhs = apply(real.qm, _eigenfunction_poly(label, alpha, 9))
     rhs = alpha * _eigenfunction_poly(label, alpha, 8)
     assert lhs == rhs
+
+
+@st.composite
+def _realizations(draw):
+    """A realization of any kind, with a random label and a basis of 1..32 functions."""
+    kind = draw(st.sampled_from(["su2", "su11", "compactQ", "noncompactQ"]))
+    size = draw(st.integers(1, 32))
+    k = F(draw(st.integers(1, 8)), 2)
+    if kind == "su2":
+        return build_realization(kind, F(size - 1, 2))
+    if kind == "su11":
+        return build_realization(kind, k, size)
+    if kind == "compactQ":
+        return build_realization(kind, AlgebraLabel.compact(k, (k + size - 1) / 2))
+    step = draw(st.integers(0, 8))
+    return build_realization(kind, AlgebraLabel.noncompact(k, (k - step) / 2), size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_realizations())
+def test_band_elements_match_dense_oracle(real):
+    size = real.basis.size
+    tables = oracle.matrix_elements(real)
+    bands, clean = band_elements(real)
+    assert clean
+    for name, offset in (("q0", 0), ("qp", 1), ("qm", -1)):
+        band = [tables[name][n + offset][n] for n in range(size) if 0 <= n + offset < size]
+        assert bands[name] == tuple(band), name
+        assert all(tables[name][m][n] == 0
+                   for m in range(size) for n in range(size) if m != n + offset), name
+    norms = oracle.squared_norms(real.basis)
+    assert real.basis.norm_ratios == tuple(norms[n + 1] / norms[n] for n in range(size - 1))
