@@ -30,21 +30,14 @@ from .reps import (
 )
 from .fock3 import FockSpace, RealizedOperators, realize_compact, realize_noncompact, realize_two_mode, verify_realization
 from .diffreal import DiffOp, MonomialBasis, band_elements, build_realization
-from .coherent import (
-    CoherentState,
-    HypergeomResult,
-    HypergeomSeries,
-    bg_state,
-    hypergeom,
-    perelomov_compact,
-    perelomov_noncompact,
-)
+from .special import HypergeomResult, HypergeomSeries, hypergeom
+from .coherent import CoherentState, bg_state, perelomov_compact, perelomov_noncompact
 from .measures import (
     MomentTarget,
     QuadratureSpec,
-    bg_moment_target,
+    bg_moment_targets,
     kummer_integral_check,
-    perelomov_moment_target,
+    perelomov_moment_targets,
     verify_compact_resolution,
 )
 from .spectrum import DegeneracyReport, brute_force_count, decompose_level, degeneracy_formula, level_report, partition_formula

@@ -258,9 +258,9 @@ def _cmd_measure(args):
     if args.check in ("bg-moments", "perelomov-moments"):
         _check_dim(args.max_n + 1, "moment count")
         label = _label(args, "noncompact")
-        fn = (measures.bg_moment_target if args.check == "bg-moments"
-              else measures.perelomov_moment_target)
-        targets = [fn(label, n) for n in range(args.max_n + 1)]
+        fn = (measures.bg_moment_targets if args.check == "bg-moments"
+              else measures.perelomov_moment_targets)
+        targets = fn(label, args.max_n)
         doc = ({"k": str(label.k), "l": str(label.l), "n": t.n, "value": t.value,
                 "ratio_to_first": str(t.ratio_to_first)} for t in targets)
         rows = ((t.n, t.value, t.ratio_to_first) for t in targets)

@@ -1,12 +1,13 @@
-"""Generalized hypergeometric series and the three coherent-state families.
+"""The three coherent-state families.
 
 The lowering-eigenstate (Barut-Girardello type) family and the two
 exponential-orbit (Perelomov type) families are built as coefficient vectors
 over the representation bases of :mod:`quadalg.reps`.  Normalisations go
-through the matching hypergeometric series: 0F2 for the eigenstates, a
-terminating confluent series for the compact orbit states, and a formally
-divergent 2F0 for the noncompact orbit states, which is only ever used as an
-optimally truncated asymptotic sum with explicit metadata.
+through the matching hypergeometric series of :mod:`quadalg.special`: 0F2
+for the eigenstates, a terminating confluent series for the compact orbit
+states, and a formally divergent 2F0 for the noncompact orbit states, which
+is only ever used as an optimally truncated asymptotic sum with explicit
+metadata.
 
 Gamma factors are evaluated through the standard log-gamma routine
 (`math.lgamma`); every argument occurring here is a positive half-integer
@@ -17,147 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from itertools import islice
+from typing import Optional
 
 import numpy as np
 
-from .errors import SeriesConvergenceError, TruncationError
+from .errors import TruncationError
 from .reps import AlgebraLabel
-
-KINDS = ("0F2", "1F1", "2F0")
-
-Number = Union[float, complex]
-
-
-def _is_nonpos_int(x: float, tol: float = 1e-12) -> bool:
-    return x <= tol and abs(x - round(x)) < tol
-
-
-@dataclass(frozen=True)
-class HypergeomSeries:
-    """Parameter set of a pFq series with p+q <= 2 as used here."""
-
-    kind: str
-    numerator: tuple[float, ...]
-    denominator: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        arity = {"0F2": (0, 2), "1F1": (1, 1), "2F0": (2, 0)}[self.kind]
-        if (len(self.numerator), len(self.denominator)) != arity:
-            raise ValueError(f"{self.kind} takes {arity[0]} numerator and "
-                             f"{arity[1]} denominator parameters")
-        # a denominator pole is only acceptable if a numerator parameter
-        # terminates the series first
-        for b in self.denominator:
-            if _is_nonpos_int(b) and not any(
-                    _is_nonpos_int(a) and a >= b - 1e-12 for a in self.numerator):
-                raise ValueError(f"denominator parameter {b} is a non-positive integer (pole)")
-
-    def termination_index(self) -> Optional[int]:
-        """Number of non-zero terms if the series terminates, else None."""
-        cuts = [1 - int(round(a)) for a in self.numerator if _is_nonpos_int(a)]
-        return min(cuts) if cuts else None
-
-
-@dataclass
-class HypergeomResult:
-    value: Number
-    terms: int
-    converged: bool
-    smallest_term_index: Optional[int] = None
-    error_estimate: Optional[float] = None
-
-
-def series_0f2(b1: float, b2: float) -> HypergeomSeries:
-    return HypergeomSeries("0F2", (), (float(b1), float(b2)))
-
-
-def series_1f1(a: float, b: float) -> HypergeomSeries:
-    return HypergeomSeries("1F1", (float(a),), (float(b),))
-
-
-def series_2f0(a: float, b: float) -> HypergeomSeries:
-    return HypergeomSeries("2F0", (float(a), float(b)), ())
-
-
-def _sum_convergent(num, den, x, tol, max_terms, stop_at: Optional[int]) -> HypergeomResult:
-    term: Number = 1.0
-    total: Number = 1.0
-    m = 0
-    while m < max_terms:
-        if stop_at is not None and m + 1 >= stop_at:
-            return HypergeomResult(total, m + 1, True)
-        ratio = x / (m + 1)
-        for a in num:
-            ratio *= a + m
-        for b in den:
-            ratio /= b + m
-        term = term * ratio
-        total = total + term
-        m += 1
-        if abs(term) < tol * abs(total):
-            return HypergeomResult(total, m + 1, True)
-    raise SeriesConvergenceError(
-        f"series did not converge within {max_terms} terms (|last term| = {abs(term):.3e})")
-
-
-def hypergeom(series: HypergeomSeries, x: Number, tol: float = 1e-15,
-              max_terms: int = 100000, order: Optional[int] = None) -> HypergeomResult:
-    """Evaluate a series of kind 0F2, 1F1 or 2F0 at ``x``.
-
-    0F2 and 1F1 are summed until ``|term| < tol * |partial sum|`` (hard cap
-    ``max_terms``); a negative-argument 1F1 is routed through the transform
-    M(a,b,x) = e^x M(b-a,b,-x) so the summed series has eventually constant
-    sign.  2F0 requires a truncation ``order`` and returns the optimally
-    truncated asymptotic sum together with the smallest-term index and its
-    magnitude as an error estimate.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if isinstance(x, complex) and x.imag == 0:
-        x = x.real
-    if not isinstance(x, complex) and not math.isfinite(x):
-        raise ValueError("argument must be finite")
-
-    if series.kind == "2F0":
-        if order is None or order < 1:
-            raise ValueError("2F0 is divergent; supply a positive truncation order")
-        return _sum_2f0(series, x, order)
-
-    stop = series.termination_index()
-    if series.kind == "1F1" and not isinstance(x, complex) and x < 0 and stop is None:
-        a, b = series.numerator[0], series.denominator[0]
-        inner = _sum_convergent((b - a,), (b,), -x, tol, max_terms, None)
-        return HypergeomResult(math.exp(x) * inner.value, inner.terms, inner.converged)
-    return _sum_convergent(series.numerator, series.denominator, x, tol, max_terms, stop)
-
-
-def _sum_2f0(series: HypergeomSeries, x: Number, order: int) -> HypergeomResult:
-    (a, b), stop = series.numerator, series.termination_index()
-    term: Number = 1.0
-    total: Number = 1.0
-    best = (abs(1.0), 0)
-    m = 0
-    while m + 1 < order:
-        if stop is not None and m + 1 >= stop:
-            return HypergeomResult(total, m + 1, True, best[1], 0.0)
-        nxt = term * (a + m) * (b + m) * x / (m + 1)
-        if abs(nxt) >= best[0]:
-            # terms started growing: optimal truncation reached
-            return HypergeomResult(total, m + 1, False, best[1], abs(nxt))
-        term = nxt
-        total = total + term
-        m += 1
-        best = min(best, (abs(term), m))
-    omitted = abs(term * (a + m) * (b + m) * x / (m + 1)) if stop is None else 0.0
-    return HypergeomResult(total, m + 1, stop is not None and m + 1 >= stop,
-                           best[1], omitted)
-
-
-# ---------------------------------------------------------------------------
-# Coherent states
+from .special import HypergeomResult, hypergeom, series_0f2, series_1f1, series_2f0
 
 
 @dataclass
@@ -184,20 +52,28 @@ class CoherentState:
         return float(np.linalg.norm(self.coeffs))
 
 
+def _bg_walk(label: AlgebraLabel, asq: float):
+    """Partial sums of the eigenstate squared-norm series sum_n t_n at |alpha|^2 = asq.
+
+    Yields (n, ratio, t, total) for n = 0, 1, ...: ``total`` sums the first n
+    terms, ``t`` is t_n and ``ratio`` is t_(n+1)/t_n.
+    """
+    k = float(label.k)
+    s = label.step
+    n, t, total = 0, 1.0, 0.0
+    while True:
+        ratio = asq / ((n + 1) * (n + 2 * k) * (n + s + 1))
+        yield n, ratio, t, total
+        total += t
+        t *= ratio
+        n += 1
+
+
 def _bg_choose_dim(label: AlgebraLabel, alpha: complex, tail_rel: float, max_dim: int) -> int:
     asq = abs(alpha) ** 2
     if asq == 0.0:
         return 1
-    k = float(label.k)
-    s = label.step
-    total = 0.0
-    t = 1.0
-    n = 0
-    while n < max_dim:
-        total += t
-        t *= asq / ((n + 1) * (n + 2 * k) * (n + s + 1))
-        n += 1
-        ratio = asq / ((n + 1) * (n + 2 * k) * (n + s + 1))
+    for n, ratio, t, total in islice(_bg_walk(label, asq), 1, max_dim + 1):
         if ratio < 0.5 and t / (1 - ratio) <= tail_rel * total:
             return n
     raise TruncationError(f"no truncation below {max_dim} reaches tail {tail_rel:g} for |alpha|={abs(alpha):g}")
@@ -208,17 +84,8 @@ def _bg_tail_bound(label: AlgebraLabel, alpha: complex, dim: int) -> float:
     asq = abs(alpha) ** 2
     if asq == 0.0:
         return 0.0
-    k = float(label.k)
-    s = label.step
-    total = 0.0
-    t = 1.0
-    for n in range(dim):
-        total += t
-        t *= asq / ((n + 1) * (n + 2 * k) * (n + s + 1))
-    ratio = asq / ((dim + 1) * (dim + 2 * k) * (dim + s + 1))
-    if ratio >= 1.0:
-        return math.inf
-    return (t / (1 - ratio)) / total
+    _, ratio, t, total = next(islice(_bg_walk(label, asq), dim, None))
+    return math.inf if ratio >= 1.0 else (t / (1 - ratio)) / total
 
 
 def bg_state(label: AlgebraLabel, alpha: complex, dim: Optional[int] = None,

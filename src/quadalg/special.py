@@ -1,0 +1,191 @@
+"""Hypergeometric series and the confluent function at negative argument.
+
+The one home of the series arithmetic used by :mod:`quadalg.coherent` (the
+0F2, 1F1 and 2F0 norm series) and :mod:`quadalg.measures` (M(a; c; -x) in
+the radial integrands).  A 2F0 with a non-positive integer parameter is a
+polynomial and is summed in full; any other 2F0 diverges and is summed up
+to its smallest term (optimal truncation), with the first omitted term as
+the error estimate.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional, Union
+
+from .errors import SeriesConvergenceError
+
+KINDS = ("0F2", "1F1", "2F0")
+
+Number = Union[float, complex]
+
+INT_TOL = 1e-9
+
+
+def is_nonpos_int(x: float) -> bool:
+    """True when x is within INT_TOL of an integer <= 0 (a pole or a cut-off)."""
+    return x <= INT_TOL and abs(x - round(x)) < INT_TOL
+
+
+def termination_index(numerator) -> Optional[int]:
+    """Number of non-zero terms if a numerator parameter terminates the series, else None."""
+    stop = None
+    for a in numerator:
+        if is_nonpos_int(a) and (stop is None or 1 - round(a) < stop):
+            stop = 1 - round(a)
+    return stop
+
+
+@dataclass(frozen=True)
+class HypergeomSeries:
+    """Parameter set of a pFq series with p+q <= 2 as used here."""
+
+    kind: str
+    numerator: tuple[float, ...]
+    denominator: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        arity = {"0F2": (0, 2), "1F1": (1, 1), "2F0": (2, 0)}[self.kind]
+        if (len(self.numerator), len(self.denominator)) != arity:
+            raise ValueError(f"{self.kind} takes {arity[0]} numerator and "
+                             f"{arity[1]} denominator parameters")
+        # a denominator pole is only acceptable if a numerator parameter
+        # terminates the series first
+        for b in self.denominator:
+            if is_nonpos_int(b) and not any(
+                    is_nonpos_int(a) and a >= b - INT_TOL for a in self.numerator):
+                raise ValueError(f"denominator parameter {b} is a non-positive integer (pole)")
+
+
+@dataclass
+class HypergeomResult:
+    value: Number
+    terms: int
+    converged: bool
+    smallest_term_index: Optional[int] = None
+    error_estimate: Optional[float] = None
+
+
+def series_0f2(b1: float, b2: float) -> HypergeomSeries:
+    return HypergeomSeries("0F2", (), (float(b1), float(b2)))
+
+
+def series_1f1(a: float, b: float) -> HypergeomSeries:
+    return HypergeomSeries("1F1", (float(a),), (float(b),))
+
+
+def series_2f0(a: float, b: float) -> HypergeomSeries:
+    return HypergeomSeries("2F0", (float(a), float(b)), ())
+
+
+def _sum_convergent(num, den, x, tol, max_terms, stop_at: Optional[int]) -> HypergeomResult:
+    term = total = 1.0
+    m = 0
+    while m < max_terms:
+        if stop_at is not None and m + 1 >= stop_at:
+            return HypergeomResult(total, m + 1, True)
+        ratio = x / (m + 1)
+        for a in num:
+            ratio *= a + m
+        for b in den:
+            ratio /= b + m
+        term = term * ratio
+        total = total + term
+        m += 1
+        if abs(term) < tol * abs(total):
+            return HypergeomResult(total, m + 1, True)
+    raise SeriesConvergenceError(
+        f"series did not converge within {max_terms} terms (|last term| = {abs(term):.3e})")
+
+
+def _sum_2f0(a: float, b: float, x: Number, order: int, stop: Optional[int]):
+    """2F0(a, b; x) over at most ``order`` terms, as the fields of a HypergeomResult.
+
+    A polynomial (``stop`` non-zero terms) is summed in full; any other
+    series ends before its first term that does not shrink.
+    """
+    term = total = best = 1.0
+    best_m = m = 0
+    last = order if stop is None or stop > order else stop
+    while m + 1 < last:
+        nxt = term * (a + m) * (b + m) * x / (m + 1)
+        if stop is None and abs(nxt) >= best:
+            # terms started growing: optimal truncation reached
+            return total, m + 1, False, best_m, abs(nxt)
+        term = nxt
+        total = total + term
+        m += 1
+        if abs(term) < best:
+            best, best_m = abs(term), m
+    if m + 1 == stop:
+        return total, m + 1, True, best_m, 0.0
+    return total, m + 1, False, best_m, abs(term * (a + m) * (b + m) * x / (m + 1))
+
+
+def hypergeom(series: HypergeomSeries, x: Number, tol: float = 1e-15,
+              max_terms: int = 100000, order: Optional[int] = None) -> HypergeomResult:
+    """Evaluate a series of kind 0F2, 1F1 or 2F0 at ``x``.
+
+    0F2 and 1F1 are summed until ``|term| < tol * |partial sum|`` (hard cap
+    ``max_terms``); a negative-argument 1F1 is routed through the transform
+    M(a,b,x) = e^x M(b-a,b,-x) so the summed series has eventually constant
+    sign.  2F0 requires a truncation ``order``; a terminating 2F0 is summed
+    in full, any other returns the optimally truncated asymptotic sum
+    together with the smallest-term index and the first omitted term as an
+    error estimate.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if isinstance(x, complex) and x.imag == 0:
+        x = x.real
+    if not isinstance(x, complex) and not math.isfinite(x):
+        raise ValueError("argument must be finite")
+
+    stop = termination_index(series.numerator)
+    if series.kind == "2F0":
+        if order is None or order < 1:
+            raise ValueError("2F0 is divergent; supply a positive truncation order")
+        return HypergeomResult(*_sum_2f0(*series.numerator, x, order, stop))
+    if series.kind == "1F1" and not isinstance(x, complex) and x < 0 and stop is None:
+        a, b = series.numerator[0], series.denominator[0]
+        inner = _sum_convergent((b - a,), (b,), -x, tol, max_terms, None)
+        return HypergeomResult(math.exp(x) * inner.value, inner.terms, inner.converged)
+    return _sum_convergent(series.numerator, series.denominator, x, tol, max_terms, stop)
+
+
+_ASYMPTOTIC_SWITCH = 80.0
+
+
+def confluent_neg(a: float, c: float, x: float) -> float:
+    """Confluent hypergeometric M(a; c; -x) for x >= 0, stably.
+
+    e^(-x) M(c-a; c; x), a series of eventually constant sign (a polynomial
+    when c-a is a non-positive integer), up to x = 80 and for every x in the
+    polynomial case; beyond, the algebraic expansion x^(-a) Gamma(c)/Gamma(c-a)
+    2F0(a, a-c+1; 1/x) without the exponentially small one of DLMF 13.7.
+    Within 1e-12 relative of arbitrary precision for a <= 25, c-a in 0..10.
+    """
+    if x < 0:
+        raise ValueError("confluent_neg expects x >= 0")
+    p = c - a
+    terminating = is_nonpos_int(p)
+    if not terminating and x > _ASYMPTOTIC_SWITCH:
+        # math.gamma keeps the sign of Gamma(c-a) for negative non-integer c-a
+        lead = math.exp(math.lgamma(c) - a * math.log(x)) / math.gamma(p)
+        b = a - c + 1
+        return lead * _sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)))[0]
+    if x >= 745.0:
+        return 0.0  # e^(-x) underflows
+    term = tot = 1.0
+    steps = -round(p) if terminating else 100000
+    m = 0
+    while m < steps:
+        term *= (p + m) * x / ((c + m) * (m + 1))
+        tot += term
+        if abs(term) < 1e-16 * abs(tot):
+            break
+        m += 1
+    return math.exp(-x) * tot

@@ -5,7 +5,8 @@ representation became band data, a Fock realization per-state data and a
 differential realization closed-form bands: full d x d matrix products,
 Horner's rule over matrices, and symbolic application of differential
 operators to whole polynomials.  They are kept here only as a test oracle;
-the library formulas must reproduce them bit for bit.
+the library formulas must reproduce them bit for bit.  ``rising`` is the
+rising factorial the moment ratios were once built from, term by term.
 """
 
 import itertools
@@ -18,7 +19,16 @@ from scipy import sparse
 
 from quadalg import reps
 from quadalg.errors import BasisSpanError
-from quadalg.polyalg import CasimirPoly, RationalPoly
+from quadalg.polyalg import CasimirPoly, RationalPoly, as_fraction
+
+
+def rising(x, n: int) -> Fraction:
+    """Rising factorial x(x+1)...(x+n-1) in exact rational arithmetic."""
+    x = as_fraction(x)
+    out = Fraction(1)
+    for i in range(n):
+        out *= x + i
+    return out
 
 
 def rep_ladder_matrices(rep):

@@ -241,6 +241,15 @@ def test_measure_resolution_breach_exits_3(capsys):
     assert all(d["quadrature"]["R"] == 0.5 for d in docs)
 
 
+def test_measure_resolution_at_large_a(capsys):
+    # a = 22, c = 28: past x = 80 the integrand is the terminating 2F0(22, -5; 1/x)
+    code, out, _ = run(capsys, "measure", "--check", "resolution", "--k", "7/2", "--l", "47/4")
+    assert code == 0
+    docs = json.loads(out)
+    assert [d["n"] for d in docs] == list(range(21))
+    assert max(d["deviation"] for d in docs) <= 1e-9
+
+
 def test_measure_kummer(capsys):
     code, out, _ = run(capsys, "measure", "--check", "kummer",
                        "--a", "3", "--b", "1", "--c", "4")

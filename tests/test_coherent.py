@@ -10,19 +10,15 @@ import pytest
 from quadalg import reps
 from quadalg.cli import main
 from quadalg.coherent import (
-    HypergeomSeries,
     bg_state,
     bg_overlap_series,
     compact_norm_sq_formula,
-    hypergeom,
     perelomov_compact,
     perelomov_noncompact,
-    series_0f2,
-    series_1f1,
-    series_2f0,
 )
 from quadalg.errors import SeriesConvergenceError, TruncationError
 from quadalg.reps import AlgebraLabel
+from quadalg.special import HypergeomSeries, hypergeom, series_0f2, series_1f1, series_2f0
 
 mp.mp.dps = 40
 
@@ -94,6 +90,18 @@ def test_2f0_terminating_polynomial():
     expected = 1 - 2 * 0.25 + 2 * 0.25 ** 2
     assert res.converged
     assert res.value == pytest.approx(expected, rel=1e-15)
+
+
+def test_2f0_terminating_sums_every_term():
+    # the terms of 2F0(-5, 22; 1/81) grow after the first, but the series is a
+    # six-term polynomial and its optimal truncation is the full sum
+    term = exact = F(1)
+    for m in range(5):
+        term *= F(-5 + m) * (22 + m) / (81 * (m + 1))
+        exact += term
+    res = hypergeom(series_2f0(-5, 22), 1 / 81, order=500)
+    assert res.converged and res.terms == 6
+    assert res.value == pytest.approx(float(exact), rel=1e-14)
 
 
 def test_2f0_optimal_truncation_metadata():

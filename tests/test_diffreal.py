@@ -13,7 +13,7 @@ from quadalg.polyalg import RationalPoly
 from quadalg.reps import AlgebraLabel
 
 import dense_oracle as oracle
-from dense_oracle import apply, commutator_apply
+from dense_oracle import apply, commutator_apply, rising
 
 
 def _poly(*coeffs):
@@ -177,8 +177,6 @@ def test_commutator_reproduces_structure_poly():
 
 def _eigenfunction_poly(label: AlgebraLabel, alpha: F, order: int) -> RationalPoly:
     """Truncated series sum_n alpha^n z^n / (n! (2k)_n (k-2l+1)_n), exact."""
-    from quadalg.measures import rising
-
     k = label.k
     s = label.step
     coeffs = [alpha ** n / (F(1) * _fact(n) * rising(2 * k, n) * rising(s + 1, n))

@@ -10,16 +10,17 @@ from quadalg import measures
 from quadalg.coherent import bg_state, perelomov_noncompact
 from quadalg.measures import (
     QuadratureSpec,
-    bg_moment_target,
+    bg_moment_targets,
     compact_moment_closed_form,
-    confluent_neg,
     kummer_integral_analytic,
     kummer_integral_check,
-    perelomov_moment_target,
-    rising,
+    perelomov_moment_targets,
     verify_compact_resolution,
 )
 from quadalg.reps import AlgebraLabel
+from quadalg.special import confluent_neg
+
+from dense_oracle import rising
 
 mp.mp.dps = 40
 
@@ -33,12 +34,12 @@ def test_rising_factorial():
 
 def test_bg_moment_examples():
     lab = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
-    assert bg_moment_target(lab, 0).value == pytest.approx(1 / TWO_PI, rel=1e-15)
+    assert bg_moment_targets(lab, 0)[-1].value == pytest.approx(1 / TWO_PI, rel=1e-15)
     # at this label both gamma ratios collapse to n!
-    assert bg_moment_target(lab, 1).value == pytest.approx(1 / TWO_PI, rel=1e-14)
+    assert bg_moment_targets(lab, 1)[-1].value == pytest.approx(1 / TWO_PI, rel=1e-14)
     lab2 = AlgebraLabel.noncompact(1, F(1, 2))
     # 2! * Gamma(4)/Gamma(2) * Gamma(3)/Gamma(1) over 2*pi
-    assert bg_moment_target(lab2, 2).value == pytest.approx(2 * 6 * 2 / TWO_PI, rel=1e-13)
+    assert bg_moment_targets(lab2, 2)[-1].value == pytest.approx(2 * 6 * 2 / TWO_PI, rel=1e-13)
 
 
 def test_bg_moment_ratio_identity_exact():
@@ -46,12 +47,22 @@ def test_bg_moment_ratio_identity_exact():
                 AlgebraLabel.noncompact(F(3, 2), F(1, 4)),
                 AlgebraLabel.noncompact(3, F(1, 2))]:
         for n in range(21):
-            t = bg_moment_target(lab, n)
+            t = bg_moment_targets(lab, n)[-1]
             expected = (F(math.factorial(n))
                         * rising(2 * lab.k, n) * rising(lab.step + 1, n))
             assert t.ratio_to_first == expected
-            assert t.value / bg_moment_target(lab, 0).value == pytest.approx(
+            assert t.value / bg_moment_targets(lab, 0)[-1].value == pytest.approx(
                 float(expected), rel=1e-11)
+
+
+def test_perelomov_moment_ratio_identity_exact():
+    for lab in [AlgebraLabel.noncompact(F(1, 2), F(1, 4)),
+                AlgebraLabel.noncompact(F(5, 2), F(3, 4)),
+                AlgebraLabel.noncompact(3, F(1, 2))]:
+        for t in perelomov_moment_targets(lab, 30):
+            n = t.n
+            assert t.ratio_to_first == (F(math.factorial(n))
+                                        / (rising(2 * lab.k, n) * rising(lab.step + 1, n)))
 
 
 def test_bg_moment_matches_coefficient_growth():
@@ -60,7 +71,7 @@ def test_bg_moment_matches_coefficient_growth():
     state = bg_state(lab, 1.0)
     for n in range(8):
         ratio = abs(state.coeffs[0] / state.coeffs[n]) ** 2
-        assert ratio == pytest.approx(float(bg_moment_target(lab, n).ratio_to_first), rel=1e-11)
+        assert ratio == pytest.approx(float(bg_moment_targets(lab, n)[-1].ratio_to_first), rel=1e-11)
 
 
 def test_perelomov_moment_matches_coefficient_growth():
@@ -70,9 +81,9 @@ def test_perelomov_moment_matches_coefficient_growth():
                 AlgebraLabel.noncompact(F(3, 2), F(3, 4)),
                 AlgebraLabel.noncompact(F(5, 2), F(1, 4))]:
         state = perelomov_noncompact(lab, 1.0, 16)
-        first = perelomov_moment_target(lab, 0).value
+        first = perelomov_moment_targets(lab, 0)[-1].value
         for n in range(12):
-            t = perelomov_moment_target(lab, n)
+            t = perelomov_moment_targets(lab, n)[-1]
             assert abs(state.coeffs[0] / state.coeffs[n]) ** 2 == pytest.approx(
                 float(t.ratio_to_first), rel=1e-11)
             assert t.value / first == pytest.approx(float(t.ratio_to_first), rel=1e-11)
@@ -80,18 +91,18 @@ def test_perelomov_moment_matches_coefficient_growth():
 
 def test_perelomov_moment_examples():
     lab = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
-    assert perelomov_moment_target(lab, 0).value == pytest.approx(1 / math.pi, rel=1e-15)
-    assert perelomov_moment_target(lab, 1).value == pytest.approx(1 / math.pi, rel=1e-14)
+    assert perelomov_moment_targets(lab, 0)[-1].value == pytest.approx(1 / math.pi, rel=1e-15)
+    assert perelomov_moment_targets(lab, 1)[-1].value == pytest.approx(1 / math.pi, rel=1e-14)
     for lab in [AlgebraLabel.noncompact(F(3, 2), F(3, 4)), AlgebraLabel.noncompact(2, 1)]:
-        values = [perelomov_moment_target(lab, n).value for n in range(8)]
+        values = [perelomov_moment_targets(lab, n)[-1].value for n in range(8)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_moment_targets_are_positive():
     lab = AlgebraLabel.noncompact(2, F(1, 2))
     for n in range(12):
-        assert bg_moment_target(lab, n).value > 0
-        assert perelomov_moment_target(lab, n).value > 0
+        assert bg_moment_targets(lab, n)[-1].value > 0
+        assert perelomov_moment_targets(lab, n)[-1].value > 0
 
 
 @pytest.mark.parametrize("a,c", [(2.0, 3.0), (5.0, 5.5), (10.0, 17.0), (4.0, 4.0),
@@ -104,6 +115,21 @@ def test_confluent_neg_against_mpmath(a, c, x):
         assert got == pytest.approx(0.0, abs=1e-300)
     else:
         assert got == pytest.approx(ref, rel=5e-13)
+
+
+@pytest.mark.parametrize("a", range(1, 26))
+def test_confluent_neg_integer_grid_against_mpmath(a):
+    # c - a = 0 is a polynomial; 1..10 make the asymptotic 2F0(a, a-c+1; 1/x) terminate
+    worst = 0.0
+    for c in range(a, a + 11):
+        for x in (0, 0.7, 5, 19, 40, 79, 80, 80.5, 81, 85, 90, 100, 150, 300, 1000):
+            got = confluent_neg(float(a), float(c), float(x))
+            ref = mp.hyp1f1(a, c, -x)
+            if float(ref) == 0.0:   # e^(-1000) underflows
+                assert got == 0.0
+                continue
+            worst = max(worst, float(abs((got - ref) / ref)))
+    assert worst <= 1e-12
 
 
 def test_confluent_neg_terminating_branch():
@@ -202,7 +228,7 @@ def test_quadrature_budget_failure_raises():
 def test_moment_label_validation():
     compact = AlgebraLabel.compact(1, 1)
     with pytest.raises(ValueError):
-        bg_moment_target(compact, 0)
+        bg_moment_targets(compact, 0)
     with pytest.raises(ValueError):
         verify_compact_resolution(AlgebraLabel.noncompact(1, F(1, 2)))
 
