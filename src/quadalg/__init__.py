@@ -28,7 +28,7 @@ from .reps import (
     su11_rep,
     two_dim_family,
 )
-from .fock3 import FockSpace, RealizedOperators, realize_compact, realize_noncompact, realize_two_mode, verify_realization
+from .fock3 import FockSpace, RealizedOperators, realize, verify_realization
 from .diffreal import DiffOp, MonomialBasis, band_elements, build_realization
 from .special import HypergeomResult, HypergeomSeries, hypergeom
 from .coherent import CoherentState, bg_state, perelomov_compact, perelomov_noncompact

@@ -162,20 +162,13 @@ def _cmd_casimir(args):
 
 def _cmd_verify(args):
     cuts = args.cutoffs
-    modes = 2 if args.sector in ("su2", "su11") else 3
+    modes = len(fock3.SECTORS[args.sector].move)
     if len(cuts) == 1:
         cuts = cuts * modes
     if len(cuts) != modes:
         raise InvalidLabelError(f"sector {args.sector} needs {modes} cutoffs, got {len(cuts)}")
     _check_dim(math.prod(c + 1 for c in cuts))
-    space = fock3.FockSpace(cuts)
-    if args.sector == "compact":
-        ops = fock3.realize_compact(space)
-    elif args.sector == "noncompact":
-        ops = fock3.realize_noncompact(space)
-    else:
-        ops = fock3.realize_two_mode(args.sector, space)
-    report = fock3.verify_realization(ops)
+    report = fock3.verify_realization(fock3.realize(args.sector, fock3.FockSpace(cuts)))
     doc = report.to_dict()
     doc["tol"] = args.tol
     doc["passed"] = report.max_residual <= args.tol and report.interior_count > 0

@@ -94,8 +94,6 @@ def build_realization(kind: str, label, size: Optional[int] = None) -> DiffReali
     if kind == "su11":
         lab = label if isinstance(label, Su11Label) else Su11Label(as_fraction(label))
         k = lab.k
-        if (2 * k).denominator != 1 or 2 * k < 1:
-            raise InvalidLabelError(f"su11 realization needs 2k a positive integer, got k={k}")
         if size is None or size < 1:
             raise ValueError("su11 basis is infinite; a positive size is required")
         twok = int(2 * k)

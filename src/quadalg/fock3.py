@@ -2,8 +2,8 @@
 
 Every realized ladder generator is a monomial in the mode ladder operators:
 on the occupation basis, one fixed shift of the occupations with one weight
-per state.  Realizations are stored as that per-state data and checked in
-O(states); dense matrices are built only on demand.
+per state.  ``realize`` builds that per-state data from one ``SECTORS``
+entry, and every check runs on it in O(states); no dense matrix is built.
 Truncation policy: any amplitude raised past a mode cutoff is dropped, so
 operator products are only trusted on the *interior* states, whose orbits
 under short words of the realized ladder operators stay inside the cutoffs.
@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import asdict, dataclass
-from functools import cached_property, reduce
-from typing import Optional, Sequence
+from functools import reduce
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,14 +51,6 @@ class FockSpace:
         return f"FockSpace(cutoffs={self.cutoffs}, dim={self.dim})"
 
 
-def _dense_monomial(monomial: tuple[np.ndarray, np.ndarray], dim: int) -> np.ndarray:
-    target, weight = monomial
-    source = np.flatnonzero(target >= 0)
-    out = np.zeros((dim, dim))
-    out[target[source], source] = weight[source]
-    return out
-
-
 @dataclass
 class RealizedOperators:
     """Generators realized on a truncated Fock space, as per-state data.
@@ -81,16 +73,38 @@ class RealizedOperators:
     lowering: tuple[np.ndarray, np.ndarray]
     interior_mask: np.ndarray
 
-    # dense generators, built on first use
-    q0 = cached_property(lambda self: np.diag(self.q0_diag))
-    qp = cached_property(lambda self: _dense_monomial(self.raising, self.space.dim))
-    qm = cached_property(lambda self: _dense_monomial(self.lowering, self.space.dim))
-    kmat = cached_property(lambda self: np.diag(self.k_diag))
-    lmat = cached_property(lambda self: None if self.l_diag is None else np.diag(self.l_diag))
+
+class Sector(NamedTuple):
+    """The raising monomial's occupation change; q0, k and l (None for the linear
+    two-mode algebras) as functions of the occupations n; and the expected
+    [raising, lowering] as a function of the diagonals (q0, k, l)."""
+
+    move: tuple[int, ...]
+    q0: Callable
+    k: Callable
+    l: Optional[Callable]
+    structure: Callable
 
 
-# occupation change of the raising monomial, per sector
-_RAISE_MOVE = {"compact": (1, 1, -1), "noncompact": (1, 1, 1), "su2": (1, -1), "su11": (1, 1)}
+# diagonals shared between sectors
+_grading = lambda n: (n[0] + n[1] - 2 * n[2] + 1) / 4
+_l_like = lambda n: (n[0] + n[1] + 2 * n[2] + 1) / 4
+_pair_casimir = lambda n: (1 - (n[0] - n[1]) ** 2) / 4
+
+SECTORS = {
+    # raising a1†a2†a3
+    "compact": Sector((1, 1, -1), _grading, _pair_casimir, _l_like,
+                      lambda q0, k, l: (3 * q0 * q0 + (2 * l - 1) * q0) + (k - l * (l + 1))),
+    # raising a1†a2†a3†: the grading operator and the l-like invariant swap roles
+    "noncompact": Sector((1, 1, 1), _l_like, _pair_casimir, _grading,
+                         lambda q0, k, l: (-3 * q0 * q0 - (2 * l + 1) * q0) - (k - l * (l - 1))),
+    # quantum transfer a1†a2, with the realized quadratic Casimir as k
+    "su2": Sector((1, -1), lambda n: (n[0] - n[1]) / 2,
+                  lambda n: (n[0] + n[1]) * (n[0] + n[1] + 2) / 4, None, lambda q0, k, l: 2.0 * q0),
+    # pair creation a1†a2†
+    "su11": Sector((1, 1), lambda n: (n[0] + n[1] + 1) / 2, _pair_casimir, None,
+                   lambda q0, k, l: -2.0 * q0),
+}
 
 # length of the ladder words whose orbits must stay inside the box
 DEPTH = 2
@@ -106,7 +120,7 @@ def interior_mask(space: FockSpace, sector: str) -> np.ndarray:
     annihilated exactly, but such states are still flagged as boundary, so the
     mask never depends on cancellation arguments.
     """
-    reach = DEPTH * np.abs(_RAISE_MOVE[sector])
+    reach = DEPTH * np.abs(SECTORS[sector].move)
     occ = space.occupations
     return ((occ >= reach) & (occ <= np.subtract(space.cutoffs, reach))).all(axis=1)
 
@@ -123,52 +137,23 @@ def _monomial(space: FockSpace, move) -> tuple[np.ndarray, np.ndarray]:
     return space.row(occ + move), reduce(operator.mul, factors)
 
 
-def _realized(space: FockSpace, sector: str, q0, k, l) -> RealizedOperators:
-    move = np.array(_RAISE_MOVE[sector])
-    return RealizedOperators(space, sector, q0, k, l, _monomial(space, move),
-                             _monomial(space, -move), interior_mask(space, sector))
+def realize(sector: str, space: FockSpace) -> RealizedOperators:
+    """Generators of ``sector`` (a key of ``SECTORS``) realized on ``space``.
 
-
-def realize_compact(space: FockSpace) -> RealizedOperators:
-    """Compact-sector generators: raising = a1†a2†a3, lowering its conjugate.
-
-    The diagonal invariants are k-like (the two-mode Casimir) and l-like
-    with entries (n1+n2+2n3+1)/4; both are exact quarter-integers.
+    The lowering monomial is the conjugate of the raising one; the space
+    needs one mode per entry of the sector's move.
     """
-    if space.nmodes != 3:
-        raise ValueError("compact realization needs a three-mode space")
-    n1, n2, n3 = space.occupations.T
-    return _realized(space, "compact", (n1 + n2 - 2 * n3 + 1) / 4,
-                     (1 - (n1 - n2) ** 2) / 4, (n1 + n2 + 2 * n3 + 1) / 4)
-
-
-def realize_noncompact(space: FockSpace) -> RealizedOperators:
-    """Noncompact-sector generators: raising = a1†a2†a3†.
-
-    Relative to the compact realization the roles of the grading operator and
-    the l-like invariant swap.
-    """
-    if space.nmodes != 3:
-        raise ValueError("noncompact realization needs a three-mode space")
-    n1, n2, n3 = space.occupations.T
-    return _realized(space, "noncompact", (n1 + n2 + 2 * n3 + 1) / 4,
-                     (1 - (n1 - n2) ** 2) / 4, (n1 + n2 - 2 * n3 + 1) / 4)
-
-
-def realize_two_mode(kind: str, space: FockSpace) -> RealizedOperators:
-    """Two-mode realizations: quantum-transfer (su2) or pair-creation (su11).
-
-    The k-slot carries the realized quadratic Casimir; there is no l-like
-    invariant for the linear algebras.
-    """
-    if space.nmodes != 2:
-        raise ValueError("two-mode realization needs a two-mode space")
-    if kind not in ("su2", "su11"):
-        raise ValueError(f"kind must be 'su2' or 'su11', got {kind!r}")
-    n1, n2 = space.occupations.T
-    if kind == "su2":
-        return _realized(space, kind, (n1 - n2) / 2, (n1 + n2) * (n1 + n2 + 2) / 4, None)
-    return _realized(space, kind, (n1 + n2 + 1) / 2, (1 - (n1 - n2) ** 2) / 4, None)
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {', '.join(SECTORS)}, got {sector!r}")
+    spec = SECTORS[sector]
+    move = np.array(spec.move)
+    if space.nmodes != len(move):
+        raise ValueError(f"{sector} realization needs a {len(move)}-mode space")
+    n = space.occupations.T
+    l = None if spec.l is None else spec.l(n)
+    return RealizedOperators(space, sector, spec.q0(n), spec.k(n), l,
+                             _monomial(space, move), _monomial(space, -move),
+                             interior_mask(space, sector))
 
 
 @dataclass
@@ -187,17 +172,6 @@ class RealizationReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "max_residual": self.max_residual}
-
-
-def _structure_diag(ops: RealizedOperators) -> np.ndarray:
-    """Expected [raising, lowering], diagonal in the diagonal invariants."""
-    q0, k, l = ops.q0_diag, ops.k_diag, ops.l_diag
-    if ops.sector == "compact":
-        return (3 * q0 * q0 + (2 * l - 1) * q0) + (k - l * (l + 1))
-    if ops.sector == "noncompact":
-        return (-3 * q0 * q0 - (2 * l + 1) * q0) - (k - l * (l - 1))
-    sign = 2.0 if ops.sector == "su2" else -2.0
-    return sign * q0
 
 
 def verify_realization(ops: RealizedOperators) -> RealizationReport:
@@ -219,10 +193,11 @@ def verify_realization(ops: RealizedOperators) -> RealizationReport:
         return d[target] * w - w * d[s]
 
     q0 = ops.q0_diag
+    expected = SECTORS[ops.sector].structure(q0, ops.k_diag, ops.l_diag)
     residuals = {
         "q0_qp": resid(comm(q0, t, wp) - wp),
         "q0_qm": resid(comm(q0, u, wm) + wm),
-        "qp_qm": resid((w_up[u] * wm - w_down[t] * wp) - _structure_diag(ops)[s]),
+        "qp_qm": resid((w_up[u] * wm - w_down[t] * wp) - expected[s]),
     }
     for name, d in (("k", ops.k_diag), ("l", ops.l_diag)):
         if d is None:

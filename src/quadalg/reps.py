@@ -16,15 +16,14 @@ values are kept on the representation for exact-arithmetic checks.
 A representation is its band: the diagonal of ``q0`` and the raising entries
 below it.  Checks contract the band in O(d) with the float operations of the
 dense products (every other term of a bidiagonal product is an exact zero),
-and ``rep_to_dict`` writes the dense JSON from the band.  No library code
-reads the dense matrices; they are built only on demand.
+and ``rep_to_dict`` writes the dense JSON from the band.  No dense matrix
+is ever built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -150,19 +149,6 @@ class Representation:
     raising: np.ndarray
     truncated: bool = False
     boundary_index: Optional[int] = None
-
-    # dense generators, built on first use
-    @cached_property
-    def q0(self) -> np.ndarray:
-        return np.diag(self.diag)
-
-    @cached_property
-    def qp(self) -> np.ndarray:
-        return np.diag(self.raising, -1)
-
-    @cached_property
-    def qm(self) -> np.ndarray:
-        return np.diag(self.raising, 1)
 
     @property
     def interior(self) -> np.ndarray:

@@ -5,8 +5,10 @@ representation became band data, a Fock realization per-state data and a
 differential realization closed-form bands: full d x d matrix products,
 Horner's rule over matrices, and symbolic application of differential
 operators to whole polynomials.  They are kept here only as a test oracle;
-the library formulas must reproduce them bit for bit.  ``rising`` is the
-rising factorial the moment ratios were once built from, term by term.
+the library formulas must reproduce them bit for bit.  The library builds no
+dense matrix: ``rep_matrices`` and ``realized_matrices`` render its band and
+per-state data densely for the tests.  ``rising`` is the rising factorial
+the moment ratios were once built from, term by term.
 """
 
 import itertools
@@ -39,6 +41,12 @@ def rep_ladder_matrices(rep):
     return qp, qm
 
 
+def rep_matrices(rep):
+    """Dense ``q0``, ``qp``, ``qm`` of a ladder representation."""
+    qp, qm = rep_ladder_matrices(rep)
+    return SimpleNamespace(q0=np.diag(rep.diag), qp=qp, qm=qm)
+
+
 def eval_matrix(poly, m):
     """Evaluate a RationalPoly on a square matrix by Horner's rule."""
     d = m.shape[0]
@@ -51,10 +59,10 @@ def eval_matrix(poly, m):
     return acc
 
 
-def casimir_matrix(rep, g):
+def casimir_matrix(mats, g):
     """Dense Casimir matrix ``qp @ qm + g(q0 - 1)`` of anything with q0/qp/qm."""
     poly = g.poly if isinstance(g, CasimirPoly) else g
-    q0, qp, qm = (np.asarray(m, float) for m in (rep.q0, rep.qp, rep.qm))
+    q0, qp, qm = (np.asarray(m, float) for m in (mats.q0, mats.qp, mats.qm))
     d = q0.shape[0]
     for m in (q0, qp, qm):
         if m.shape != (d, d):
@@ -64,7 +72,7 @@ def casimir_matrix(rep, g):
 
 def casimir_value(rep):
     """(value, max_deviation) of the dense Casimir matrix over interior levels."""
-    c = casimir_matrix(rep, reps.casimir_poly(rep))
+    c = casimir_matrix(rep_matrices(rep), reps.casimir_poly(rep))
     mask = rep.interior
     diag = np.diag(c)[mask]
     value = float(diag.mean()) if diag.size else 0.0
@@ -74,7 +82,8 @@ def casimir_value(rep):
 
 def defining_relation_residuals(rep):
     """Max-norm residuals of the defining relations, on interior columns."""
-    q0, qp, qm = rep.q0, rep.qp, rep.qm
+    m = rep_matrices(rep)
+    q0, qp, qm = m.q0, m.qp, m.qm
     mask = rep.interior
     expected = eval_matrix(reps.structure_poly(rep), q0)
     return {
@@ -86,7 +95,8 @@ def defining_relation_residuals(rep):
 
 def commutator_residuals(rep, osc):
     """Residuals of [N,A]+A, [N,A+]-A+ and [A,A+]-F(N) for ``osc = deform(rep)``."""
-    n, a, ad = rep.q0, rep.qm / osc.scale, rep.qp / osc.scale
+    m = rep_matrices(rep)
+    n, a, ad = m.q0, m.qm / osc.scale, m.qp / osc.scale
     return {
         "n_a": float(np.abs((n @ a - a @ n) + a).max()),
         "n_adag": float(np.abs((n @ ad - ad @ n) - ad).max()),
@@ -100,6 +110,23 @@ def commutator_residuals(rep, osc):
 # interior mask are rebuilt here from tuples, independently of ``FockSpace``.
 
 _RAISE_MOVE = {"compact": (1, 1, -1), "noncompact": (1, 1, 1), "su2": (1, -1), "su11": (1, 1)}
+
+
+def _dense_monomial(monomial, dim):
+    target, weight = monomial
+    source = np.flatnonzero(target >= 0)
+    out = np.zeros((dim, dim))
+    out[target[source], source] = weight[source]
+    return out
+
+
+def realized_matrices(ops):
+    """Dense q0, qp, qm, kmat, lmat (None for two-mode) from a realization's per-state data."""
+    dim = ops.space.dim
+    return SimpleNamespace(
+        q0=np.diag(ops.q0_diag), qp=_dense_monomial(ops.raising, dim),
+        qm=_dense_monomial(ops.lowering, dim), kmat=np.diag(ops.k_diag),
+        lmat=None if ops.l_diag is None else np.diag(ops.l_diag))
 
 
 def fock_basis(cutoffs):

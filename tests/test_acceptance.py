@@ -14,6 +14,8 @@ import pytest
 from quadalg import coherent, defosc, diffreal, fock3, measures, reps, spectrum
 from quadalg.reps import AlgebraLabel
 
+from dense_oracle import realized_matrices, rep_matrices
+
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -74,24 +76,26 @@ def test_criterion_2_casimir_scalarity_and_value():
 
 def test_criterion_3_realization_equivalence():
     space = fock3.FockSpace((8, 8, 8))
-    compact_ops = fock3.realize_compact(space)
-    noncompact_ops = fock3.realize_noncompact(space)
+    compact = fock3.realize("compact", space)
+    noncompact = fock3.realize("noncompact", space)
+    compact_ops, noncompact_ops = realized_matrices(compact), realized_matrices(noncompact)
     compact_labels = [(F(1, 2), F(1, 4)), (F(1, 2), F(5, 4)), (F(1, 2), F(9, 4)),
                       (1, 1), (1, 2), (F(3, 2), F(7, 4)), (F(3, 2), F(11, 4)), (2, 3)]
     worst = 0.0
     n_checked = 0
     for k, l in compact_labels:
         rep = reps.compact_rep(AlgebraLabel.compact(k, l))
-        for chain in fock3.eigenspace_states(compact_ops, k, l):
+        m = rep_matrices(rep)
+        for chain in fock3.eigenspace_states(compact, k, l):
             assert len(chain) == rep.dim
             sel = np.ix_(chain, chain)
-            for realized, closed in ((compact_ops.qp, rep.qp), (compact_ops.qm, rep.qm),
-                                     (compact_ops.q0, rep.q0)):
+            for realized, closed in ((compact_ops.qp, m.qp), (compact_ops.qm, m.qm),
+                                     (compact_ops.q0, m.q0)):
                 worst = max(worst, float(np.abs(realized[sel] - closed).max()))
         n_checked += 1
     for k, l in [(F(1, 2), F(1, 4)), (1, F(1, 2))]:
-        chain = fock3.eigenspace_states(noncompact_ops, k, l)[0]
-        rep = reps.noncompact_rep(AlgebraLabel.noncompact(k, l), len(chain))
+        chain = fock3.eigenspace_states(noncompact, k, l)[0]
+        rep = rep_matrices(reps.noncompact_rep(AlgebraLabel.noncompact(k, l), len(chain)))
         sel = np.ix_(chain, chain)
         worst = max(worst, float(np.abs(noncompact_ops.qp[sel] - rep.qp).max()),
                     float(np.abs(noncompact_ops.q0[sel] - rep.q0).max()))
@@ -133,7 +137,7 @@ def test_criterion_5_coherent_states():
         for alpha in (0.5, 1 + 1j, 3.0):
             state = coherent.bg_state(label, alpha)
             rep = reps.noncompact_rep(label, state.truncation)
-            resid = float(np.linalg.norm(rep.qm @ state.coeffs - alpha * state.coeffs)
+            resid = float(np.linalg.norm(rep_matrices(rep).qm @ state.coeffs - alpha * state.coeffs)
                           / abs(alpha))
             worst_resid = max(worst_resid, resid)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quadalg import diffreal, reps
 from quadalg.diffreal import DiffOp, DiffRealization, band_elements, build_realization, signed_square
-from quadalg.errors import BasisSpanError
+from quadalg.errors import BasisSpanError, InvalidLabelError
 from quadalg.polyalg import RationalPoly
 from quadalg.reps import AlgebraLabel
 
@@ -76,6 +76,12 @@ def test_span_error_on_wrong_pairing():
         band_elements(DiffRealization(good.q0, good.qp, good.qm, wrong_basis))
     with pytest.raises(BasisSpanError):
         oracle.matrix_elements(DiffRealization(good.q0, good.qp, good.qm, wrong_basis))
+
+
+@pytest.mark.parametrize("k", [0, F(1, 3), F(-1, 2), F(1, 4)])
+def test_su11_rejects_k_not_a_positive_half_integer(k):
+    with pytest.raises(InvalidLabelError):
+        build_realization("su11", k, size=4)
 
 
 def _compact_labels(max_dim):

@@ -12,7 +12,7 @@ from quadalg import fock3, reps
 from quadalg.fock3 import FockSpace
 
 import dense_oracle
-from dense_oracle import ladder_matrices
+from dense_oracle import ladder_matrices, realized_matrices
 
 
 @pytest.fixture(scope="module")
@@ -22,12 +22,12 @@ def space888():
 
 @pytest.fixture(scope="module")
 def compact888(space888):
-    return fock3.realize_compact(space888)
+    return fock3.realize("compact", space888)
 
 
 @pytest.fixture(scope="module")
 def noncompact888(space888):
-    return fock3.realize_noncompact(space888)
+    return fock3.realize("noncompact", space888)
 
 
 def test_space_indexing():
@@ -75,8 +75,8 @@ def test_creation_is_transpose_of_annihilation():
 
 
 def test_compact_realization_examples(compact888):
-    ops = compact888
-    space = ops.space
+    space = compact888.space
+    ops = realized_matrices(compact888)
     i101 = space.row((1, 0, 1))
     assert ops.lmat[i101, i101] == 1.0          # (1 + 0 + 2 + 1)/4
     # raising |0,1,1> -> sqrt(2) |1,2,0>
@@ -88,8 +88,8 @@ def test_compact_realization_examples(compact888):
 
 
 def test_noncompact_realization_examples(noncompact888):
-    ops = noncompact888
-    space = ops.space
+    space = noncompact888.space
+    ops = realized_matrices(noncompact888)
     col = ops.qp[:, space.row((0, 0, 0))]
     assert col[space.row((1, 1, 1))] == 1.0
     assert np.count_nonzero(col) == 1
@@ -104,22 +104,22 @@ def test_noncompact_realization_examples(noncompact888):
 
 def test_two_mode_realizations():
     space = FockSpace((4, 4))
-    su2 = fock3.realize_two_mode("su2", space)
+    su2 = realized_matrices(fock3.realize("su2", space))
     col = su2.qp[:, space.row((0, 1))]
     assert col[space.row((1, 0))] == 1.0 and np.count_nonzero(col) == 1
-    su11 = fock3.realize_two_mode("su11", space)
+    su11 = realized_matrices(fock3.realize("su11", space))
     col = su11.qp[:, space.row((0, 0))]
     assert col[space.row((1, 1))] == 1.0 and np.count_nonzero(col) == 1
     for i, occ in enumerate(space.occupations.tolist()):
         assert su11.kmat[i, i] == (1 - (occ[0] - occ[1]) ** 2) / 4
     with pytest.raises(ValueError):
-        fock3.realize_two_mode("su3", space)
+        fock3.realize("su3", space)
     with pytest.raises(ValueError):
-        fock3.realize_two_mode("su2", FockSpace((2, 2, 2)))
+        fock3.realize("su2", FockSpace((2, 2, 2)))
 
 
 def test_lowering_is_exact_transpose(compact888, noncompact888):
-    for ops in (compact888, noncompact888):
+    for ops in map(realized_matrices, (compact888, noncompact888)):
         assert np.array_equal(ops.qm, ops.qp.T)
 
 
@@ -139,22 +139,23 @@ def test_verify_noncompact_888(noncompact888):
 def test_verify_two_mode():
     space = FockSpace((10, 10))
     for kind in ("su2", "su11"):
-        report = fock3.verify_realization(fock3.realize_two_mode(kind, space))
+        report = fock3.verify_realization(fock3.realize(kind, space))
         assert report.interior_count > 0
         assert report.max_residual <= 1e-12
 
 
 def test_empty_interior_is_flagged():
-    ops = fock3.realize_compact(FockSpace((1, 1, 1)))
+    ops = fock3.realize("compact", FockSpace((1, 1, 1)))
     report = fock3.verify_realization(ops)
     assert report.interior_count == 0
     assert report.boundary_count == ops.space.dim
 
 
 def test_jacobi_identity_interior():
-    ops = fock3.realize_compact(FockSpace((6, 6, 6)))
+    ops = fock3.realize("compact", FockSpace((6, 6, 6)))
     mask = ops.interior_mask
-    gens = {"q0": ops.q0, "qp": ops.qp, "qm": ops.qm, "k": ops.kmat, "l": ops.lmat}
+    m = realized_matrices(ops)
+    gens = {"q0": m.q0, "qp": m.qp, "qm": m.qm, "k": m.kmat, "l": m.lmat}
     comm = lambda a, b: a @ b - b @ a
     names = list(gens)
     for i in range(len(names)):
@@ -176,13 +177,13 @@ def test_block_diagonality(compact888):
 @pytest.mark.parametrize("k,l", [(F(1, 2), F(1, 4)), (F(1, 2), F(5, 4)), (1, 1),
                                  (F(3, 2), F(7, 4)), (2, 3)])
 def test_compact_matches_closed_form_rep(compact888, k, l):
-    ops = compact888
+    ops = realized_matrices(compact888)
     label = reps.AlgebraLabel.compact(k, l)
-    rep = reps.compact_rep(label)
-    chains = fock3.eigenspace_states(ops, k, l)
+    rep = dense_oracle.rep_matrices(reps.compact_rep(label))
+    chains = fock3.eigenspace_states(compact888, k, l)
     assert len(chains) == (1 if k == F(1, 2) else 2)
     for chain in chains:
-        assert len(chain) == rep.dim
+        assert len(chain) == label.dim
         sel = np.ix_(chain, chain)
         assert np.abs(ops.qp[sel] - rep.qp).max() <= 1e-12
         assert np.abs(ops.qm[sel] - rep.qm).max() <= 1e-12
@@ -195,12 +196,12 @@ def test_compact_matches_closed_form_rep(compact888, k, l):
 
 
 def test_noncompact_matches_closed_form_rep(noncompact888):
-    ops = noncompact888
+    ops = realized_matrices(noncompact888)
     label = reps.AlgebraLabel.noncompact(F(1, 2), F(1, 4))
-    chains = fock3.eigenspace_states(ops, label.k, label.l)
+    chains = fock3.eigenspace_states(noncompact888, label.k, label.l)
     assert chains
     chain = chains[0]
-    rep = reps.noncompact_rep(label, len(chain))
+    rep = dense_oracle.rep_matrices(reps.noncompact_rep(label, len(chain)))
     sel = np.ix_(chain, chain)
     assert np.abs(ops.qp[sel] - rep.qp).max() <= 1e-12
     assert np.abs(ops.q0[sel] - rep.q0).max() <= 1e-12
@@ -212,17 +213,16 @@ def realizations(draw):
     sector = draw(st.sampled_from(["compact", "noncompact", "su2", "su11"]))
     if sector in ("compact", "noncompact"):
         cutoffs = draw(st.tuples(*[st.integers(0, 7)] * 3))
-        realize = fock3.realize_compact if sector == "compact" else fock3.realize_noncompact
-        return realize(FockSpace(cutoffs))
-    cutoffs = draw(st.tuples(st.integers(0, 25), st.integers(0, 25)))
-    return fock3.realize_two_mode(sector, FockSpace(cutoffs))
+    else:
+        cutoffs = draw(st.tuples(st.integers(0, 25), st.integers(0, 25)))
+    return fock3.realize(sector, FockSpace(cutoffs))
 
 
 @settings(max_examples=80, deadline=None)
 @given(realizations())
-@example(fock3.realize_compact(FockSpace((1, 1, 1))))
-@example(fock3.realize_noncompact(FockSpace((7, 6, 5))))
-@example(fock3.realize_two_mode("su11", FockSpace((25, 20))))
+@example(fock3.realize("compact", FockSpace((1, 1, 1))))
+@example(fock3.realize("noncompact", FockSpace((7, 6, 5))))
+@example(fock3.realize("su11", FockSpace((25, 20))))
 def test_per_state_formulas_equal_dense_oracle(ops):
     # bit-identical, not approximately equal: the dense products only add exact zeros
     report = fock3.verify_realization(ops)
@@ -230,12 +230,14 @@ def test_per_state_formulas_equal_dense_oracle(ops):
     dense = dense_oracle.realize(ops.sector, ops.space)
     assert report.to_dict() == dense_oracle.verify_realization(dense)
     assert np.array_equal(ops.interior_mask, dense.interior_mask)
+    # the per-state data, rendered densely, equals the independent COO products
+    rendered = realized_matrices(ops)
     for name in ("q0", "qp", "qm", "kmat"):
-        assert np.array_equal(getattr(ops, name), getattr(dense, name)), name
+        assert np.array_equal(getattr(rendered, name), getattr(dense, name)), name
     if dense.lmat is None:
-        assert ops.lmat is None
+        assert rendered.lmat is None
     else:
-        assert np.array_equal(ops.lmat, dense.lmat)
+        assert np.array_equal(rendered.lmat, dense.lmat)
 
 
 def test_interior_mask_closed_form():
@@ -249,7 +251,7 @@ def test_interior_mask_closed_form():
 
 def test_monomial_targets_leave_box_as_minus_one():
     space = FockSpace((2, 2, 2))
-    ops = fock3.realize_noncompact(space)
+    ops = fock3.realize("noncompact", space)
     target, weight = ops.raising
     top = space.occupations.max(axis=1) == 2
     assert np.all(target[top] == -1) and np.all(target[~top] >= 0)

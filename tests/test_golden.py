@@ -22,10 +22,11 @@ d = 2048 ``rep`` JSON digests were recorded from the dense
 
 import csv
 import hashlib
+import sys
 
+import numpy as np
 import pytest
 
-from quadalg import reps
 from quadalg.cli import main
 
 # argv -> (exit code, sha256 of stdout)
@@ -355,11 +356,22 @@ def test_csv_rows_as_wide_as_header(argv, capsys):
     assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
 
 
-@pytest.mark.parametrize("argv", [a for a in GOLDEN if a.startswith("rep ") and "json" in a])
-def test_rep_json_builds_no_dense_matrix(argv, capsys, monkeypatch):
-    def dense(self):
-        raise AssertionError("a dense ladder matrix was read")
+def _refuse_dense(build):
+    """``build`` (numpy.diag or numpy.zeros), failing when quadalg code calls it
+    for a square result wider than 2 x 2 (scipy's own calls, made when
+    ``measures`` first imports it, pass)."""
+    def guarded(*args, **kwargs):
+        out = build(*args, **kwargs)
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if caller.startswith("quadalg") and out.ndim == 2 and out.shape[0] == out.shape[1] > 2:
+            raise AssertionError(f"{caller} built a {out.shape} matrix with numpy.{build.__name__}")
+        return out
+    return guarded
 
-    for name in ("q0", "qp", "qm"):
-        monkeypatch.setattr(reps.Representation, name, property(dense))
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_builds_no_dense_matrix(argv, capsys, monkeypatch):
+    # the canonical fermion's 2 x 2 matrices are the only dense ones allowed
+    for name in ("diag", "zeros"):
+        monkeypatch.setattr(np, name, _refuse_dense(getattr(np, name)))
     test_stdout_bytes(argv, capsys)

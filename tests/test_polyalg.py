@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from quadalg import polyalg, reps
 from quadalg.polyalg import RationalPoly, discrete_antiderivative
 
-from dense_oracle import casimir_matrix, derivative, eval_matrix
+from dense_oracle import casimir_matrix, derivative, eval_matrix, rep_matrices
 
 
 def test_normalization_strips_trailing_zeros():
@@ -74,7 +74,7 @@ def test_antiderivative_property(coeffs, xs):
 def test_casimir_matrix_su2_half():
     rep = reps.su2_rep(F(1, 2))
     g = discrete_antiderivative(polyalg.su2_structure())
-    c = casimir_matrix(rep, g)
+    c = casimir_matrix(rep_matrices(rep), g)
     assert np.array_equal(c, 0.75 * np.eye(2))
     rc = reps.casimir_value(rep)
     assert rc.value == 0.75 and rc.max_deviation == 0.0
@@ -83,7 +83,7 @@ def test_casimir_matrix_su2_half():
 def test_casimir_matrix_compact_11_is_zero():
     rep = reps.compact_rep(reps.AlgebraLabel.compact(1, 1))
     g = discrete_antiderivative(polyalg.compact_structure(F(1), F(1)))
-    c = casimir_matrix(rep, g)
+    c = casimir_matrix(rep_matrices(rep), g)
     assert np.abs(c).max() < 1e-12
     rc = reps.casimir_value(rep)
     assert abs(rc.value) < 1e-12 and rc.max_deviation < 1e-12
@@ -93,7 +93,7 @@ def test_casimir_matrix_compact_11_is_zero():
 
 def test_casimir_matrix_two_dim_family_k1():
     rep = reps.two_dim_family(1)
-    c = casimir_matrix(rep, reps.casimir_poly(rep))
+    c = casimir_matrix(rep_matrices(rep), reps.casimir_poly(rep))
     assert np.abs(c).max() < 1e-12
     rc = reps.casimir_value(rep)
     assert abs(rc.value) < 1e-12 and rc.max_deviation < 1e-12
@@ -103,11 +103,12 @@ def test_casimir_matrix_two_dim_family_k1():
 def test_casimir_matrix_rejects_mismatched_shapes():
     # the dense oracle must not broadcast matrices of different sizes
     rep = reps.su2_rep(1)
+    m = rep_matrices(rep)
 
     class Broken:
-        q0 = rep.q0
-        qp = rep.qp[:2, :2]
-        qm = rep.qm
+        q0 = m.q0
+        qp = m.qp[:2, :2]
+        qm = m.qm
 
     with pytest.raises(ValueError):
         casimir_matrix(Broken(), reps.casimir_poly(rep))
@@ -123,7 +124,8 @@ def test_both_casimir_forms_agree(rep):
     # lowering@raising + g(q0) must equal raising@lowering + g(q0 - 1)
     g = reps.casimir_poly(rep).poly
     d = rep.dim
-    lhs = rep.qm @ rep.qp + eval_matrix(g, rep.q0)
-    rhs = rep.qp @ rep.qm + eval_matrix(g, rep.q0 - np.eye(d))
+    m = rep_matrices(rep)
+    lhs = m.qm @ m.qp + eval_matrix(g, m.q0)
+    rhs = m.qp @ m.qm + eval_matrix(g, m.q0 - np.eye(d))
     mask = rep.interior
     assert np.abs((lhs - rhs)[np.ix_(mask, mask)]).max() < 1e-10

@@ -36,43 +36,48 @@ def test_label_validation():
 
 def test_compact_k1_l1():
     rep = reps.compact_rep(AlgebraLabel.compact(1, 1))
+    m = dense_oracle.rep_matrices(rep)
     assert rep.dim == 2
-    assert np.array_equal(np.diag(rep.q0), [0.0, 1.0])
-    assert rep.qp[1, 0] == math.sqrt(2)
+    assert np.array_equal(np.diag(m.q0), [0.0, 1.0])
+    assert m.qp[1, 0] == math.sqrt(2)
     assert rep.qp_sq == (F(2),)
     assert rep.kval == 0 and rep.lval == 1
 
 
 def test_compact_one_dimensional():
     rep = reps.compact_rep(AlgebraLabel.compact(F(1, 2), F(1, 4)))
+    m = dense_oracle.rep_matrices(rep)
     assert rep.dim == 1
-    assert np.array_equal(np.diag(rep.q0), [0.25])
-    assert not np.any(rep.qp) and not np.any(rep.qm)
+    assert np.array_equal(np.diag(m.q0), [0.25])
+    assert not np.any(m.qp) and not np.any(m.qm)
 
 
 def test_compact_half_fivequarter_subdiagonal():
     rep = reps.compact_rep(AlgebraLabel.compact(F(1, 2), F(5, 4)))
     assert rep.dim == 3
     assert rep.qp_sq == (F(2), F(4))
-    np.testing.assert_allclose([rep.qp[1, 0], rep.qp[2, 1]], [math.sqrt(2), 2.0], rtol=0, atol=0)
+    qp = dense_oracle.rep_matrices(rep).qp
+    np.testing.assert_allclose([qp[1, 0], qp[2, 1]], [math.sqrt(2), 2.0], rtol=0, atol=0)
 
 
 def test_noncompact_half_quarter():
     rep = reps.noncompact_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 4)
     # ladder squares (n+1)^3, diagonal n + 1/4
     assert rep.qp_sq == (F(1), F(8), F(27))
-    assert np.array_equal(np.diag(rep.q0), [0.25, 1.25, 2.25, 3.25])
+    m = dense_oracle.rep_matrices(rep)
+    assert np.array_equal(np.diag(m.q0), [0.25, 1.25, 2.25, 3.25])
     assert rep.truncated and rep.boundary_index == 3
-    comm = rep.qp @ rep.qm - rep.qm @ rep.qp
+    comm = m.qp @ m.qm - m.qm @ m.qp
     for n in range(3):
         assert comm[n, n] == pytest.approx(-(3 * n * n + 3 * n + 1), abs=1e-12)
 
 
 def test_su2_reps():
     half = reps.su2_rep(F(1, 2))
-    assert half.dim == 2 and half.qp[1, 0] == 1.0
+    assert half.dim == 2 and dense_oracle.rep_matrices(half).qp[1, 0] == 1.0
     zero = reps.su2_rep(0)
-    assert zero.dim == 1 and not np.any(zero.qp) and not np.any(zero.q0)
+    m = dense_oracle.rep_matrices(zero)
+    assert zero.dim == 1 and not np.any(m.qp) and not np.any(m.q0)
     with pytest.raises(InvalidLabelError):
         reps.su2_rep(F(1, 3))
 
@@ -80,21 +85,24 @@ def test_su2_reps():
 def test_su11_rep():
     rep = reps.su11_rep(F(1, 2), 3)
     assert rep.qp_sq == (F(1), F(4))
-    np.testing.assert_allclose([rep.qp[1, 0], rep.qp[2, 1]], [1.0, 2.0], rtol=0, atol=0)
-    assert np.array_equal(np.diag(rep.q0), [0.5, 1.5, 2.5])
+    m = dense_oracle.rep_matrices(rep)
+    np.testing.assert_allclose([m.qp[1, 0], m.qp[2, 1]], [1.0, 2.0], rtol=0, atol=0)
+    assert np.array_equal(np.diag(m.q0), [0.5, 1.5, 2.5])
 
 
 def test_two_dim_family():
     rep = reps.two_dim_family(F(1, 2))
-    assert np.array_equal(np.diag(rep.q0), [-0.25, 0.75])
-    assert rep.qp[1, 0] == 1.0
+    m = dense_oracle.rep_matrices(rep)
+    assert np.array_equal(np.diag(m.q0), [-0.25, 0.75])
+    assert m.qp[1, 0] == 1.0
     rep2 = reps.two_dim_family(2)
-    assert rep2.qp[1, 0] == 2.0
+    assert dense_oracle.rep_matrices(rep2).qp[1, 0] == 2.0
     assert reps.casimir_scalar_exact(rep2.label) == F(-25, 8)
     # elementwise identity with the compact constructor, any k
     for twok in range(1, 8):
         fam = reps.two_dim_family(F(twok, 2))
-        direct = reps.compact_rep(fam.label)
+        direct = dense_oracle.rep_matrices(reps.compact_rep(fam.label))
+        fam = dense_oracle.rep_matrices(fam)
         assert np.array_equal(fam.qp, direct.qp)
         assert np.array_equal(fam.q0, direct.q0)
 
@@ -151,9 +159,10 @@ def test_exact_squared_entries_compact():
     for label in _compact_labels(max_step=9, max_twok=6):
         rep = reps.compact_rep(label)
         k, l = label.k, label.l
+        qp = dense_oracle.rep_matrices(rep).qp
         for n, sq in enumerate(rep.qp_sq):
             assert sq == (n + 1) * (n + 2 * k) * (2 * l - n - k)
-            assert rep.qp[n + 1, n] == math.sqrt(float(sq))
+            assert qp[n + 1, n] == math.sqrt(float(sq))
 
 
 def test_defining_relations_grid():
@@ -184,7 +193,8 @@ def test_compact_label_roundtrip(twok, step):
     rep = reps.compact_rep(label)
     assert rep.dim == step + 1
     # lowering is exactly the transpose of raising
-    assert np.array_equal(rep.qm, rep.qp.T)
+    m = dense_oracle.rep_matrices(rep)
+    assert np.array_equal(m.qm, m.qp.T)
 
 
 def test_serialization_schema():

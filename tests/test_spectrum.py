@@ -16,6 +16,8 @@ from quadalg.spectrum import (
     partition_formula,
 )
 
+from dense_oracle import realized_matrices
+
 
 def test_decompose_level_examples():
     parts4 = decompose_level(4)
@@ -82,7 +84,7 @@ def test_negative_level_rejected():
 def test_hamiltonian_matches_fock_grading():
     # 4*L - 1 must have eigenvalue n1 + n2 + 2*n3 on every basis state
     space = fock3.FockSpace((5, 5, 5))
-    ops = fock3.realize_compact(space)
+    ops = realized_matrices(fock3.realize("compact", space))
     h = 4 * ops.lmat - np.eye(space.dim)
     for i, occ in enumerate(space.occupations.tolist()):
         assert h[i, i] == occ[0] + occ[1] + 2 * occ[2]
