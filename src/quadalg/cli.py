@@ -35,11 +35,14 @@ import numpy as np
 
 from . import coherent, defosc, diffreal, fock3, measures, reps, spectrum
 from .errors import InvalidLabelError, NumericalToleranceError
-from .output import json_dumps, write_csv
+from .output import JSONFragment, json_dumps, write_csv
 
 DEFAULT_MAX_DIM = 4096
 SECTORS = ("compact", "noncompact", "su2", "su11")
 DIFF_SECTORS = {"su2": "su2", "su11": "su11", "compactQ": "compact", "noncompactQ": "noncompact"}
+# one piece of a spectrum level as a JSON object and as a CSV field
+_PART_JSON = '{{"k": "{0.k}", "dim": {0.dim}, "multiplicity": {0.multiplicity}}}'.format
+_PART_CSV = "{0.k}:{0.dim}:{0.multiplicity}".format
 
 
 def _max_dim() -> int:
@@ -280,13 +283,12 @@ def _cmd_spectrum(args):
             "partitions": {"reptheory": r.partitions_reptheory,
                            "formula": r.partitions_formula,
                            "bruteforce": r.partitions_bruteforce},
-            "parts": [{"k": str(p.k), "dim": p.dim, "multiplicity": p.multiplicity}
-                      for p in r.parts],
+            "parts": JSONFragment("[" + ", ".join(map(_PART_JSON, r.parts)) + "]"),
             "consistent": r.consistent,
         }
         for r in reports
     )
-    rows = ((r.N, r.degeneracy_formula, r.partitions_formula, r.parts_string())
+    rows = ((r.N, r.degeneracy_formula, r.partitions_formula, ";".join(map(_PART_CSV, r.parts)))
             for r in reports)
     code = 0 if all(r.consistent for r in reports) else 3
     return doc, (("N", "degeneracy", "partitions", "parts"), rows), code

@@ -3,19 +3,24 @@
 The N-th level carries l = (N+1)/4; its degeneracy is counted (i) by
 decomposing the level into irreducible pieces of the compact quadratic
 algebra, doubling every k > 1/2 piece for the two equivalent basis choices,
-(ii) by the closed formulas in m = N // 4, and (iii) by brute-force
-enumeration of the compositions n1 + n2 + 2*n3 = N.  Dropping the doubling
-(respectively, identifying n1 <-> n2) counts partitions instead.  Integer
-arithmetic throughout; the brute force is the ground-truth oracle.
+(ii) by the closed formulas in m = N // 4, and (iii) by brute force over
+the compositions n1 + n2 + 2*n3 = N, enumerating n3 and counting the
+(n1, n2) pairs of each line directly, in O(N) per level.  Dropping the
+doubling (respectively, identifying n1 <-> n2) counts partitions instead.
+Integer arithmetic throughout; the brute force is the ground-truth oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+# one Fraction per label k = twok/2, shared by all the levels of a window
+_half = lru_cache(maxsize=8192)(lambda twok: Fraction(twok, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelPart:
     """One irreducible piece of a level: label k, its dimension, multiplicity."""
 
@@ -43,9 +48,6 @@ class DegeneracyReport:
         return (self.degeneracy_reptheory == self.degeneracy_formula == self.degeneracy_bruteforce
                 and self.partitions_reptheory == self.partitions_formula == self.partitions_bruteforce)
 
-    def parts_string(self) -> str:
-        return ";".join(f"{p.k}:{p.dim}:{p.multiplicity}" for p in self.parts)
-
 
 def decompose_level(N: int) -> tuple[LevelPart, ...]:
     """All compact irreducible pieces compatible with l = (N+1)/4.
@@ -58,7 +60,7 @@ def decompose_level(N: int) -> tuple[LevelPart, ...]:
         raise ValueError("level index must be >= 0")
     # 2l - k = (N + 1 - 2k)/2 is an integer when 2k has the parity of N + 1,
     # and non-negative up to 2k = N + 1
-    return tuple(LevelPart(k=Fraction(twok, 2), dim=(N + 1 - twok) // 2 + 1,
+    return tuple(LevelPart(k=_half(twok), dim=(N + 1 - twok) // 2 + 1,
                            multiplicity=1 if twok == 1 else 2)
                  for twok in range(2 - (N + 1) % 2, N + 2, 2))
 
@@ -88,21 +90,16 @@ def partition_formula(N: int) -> int:
 
 
 def brute_force_count(N: int, ordered: bool) -> int:
-    """Enumerate solutions of n1 + n2 + 2*n3 = N over non-negative integers.
+    """Count solutions of n1 + n2 + 2*n3 = N over non-negative integers.
 
+    n3 is enumerated; the pairs (n1, n2) on each line n1 + n2 = rest are
+    counted directly: rest + 1 of them, or rest // 2 + 1 with n1 <= n2 when
     ``ordered=False`` identifies (n1, n2) with (n2, n1).  This is the oracle
     the formulas and the representation decomposition are tested against.
     """
     if N < 0:
         raise ValueError("level index must be >= 0")
-    count = 0
-    for n3 in range(N // 2 + 1):
-        rest = N - 2 * n3
-        for n1 in range(rest + 1):
-            n2 = rest - n1
-            if ordered or n1 <= n2:
-                count += 1
-    return count
+    return sum(rest + 1 if ordered else rest // 2 + 1 for rest in range(N, -1, -2))
 
 
 def level_report(N: int) -> DegeneracyReport:

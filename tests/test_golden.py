@@ -11,13 +11,19 @@ fermion; ``verify`` in all four sectors and both formats, from empty
 interiors (exit 3) up to 1,000 Fock states.
 
 The remaining commands are pinned in both formats as well: ``diffcheck``
-for all four kinds (default and explicit sizes), ``spectrum`` up to N = 12,
+for all four kinds (default and explicit sizes), ``spectrum`` up to N = 12
+and over the wide windows 0..300, 395..460 and 1000..1010,
 ``measure`` (kummer, both moment tables, resolution; exit 3 at ``--tol=0``)
 and the two Perelomov families of ``coherent``.  The four non-fermion
 ``deform`` CSV digests were recorded after CSV cells became quoted: their
 ``residuals`` cell holds inline JSON with commas and quotes.  The two
 d = 2048 ``rep`` JSON digests were recorded from the dense
 ``tolist()`` serialization of ``qp``/``qm``, which ``rep`` no longer builds.
+The wide ``spectrum`` windows were recorded while ``brute_force_count``
+still walked every (n1, n2) pair and every ``parts`` item was a dict.
+
+The nine ``--help`` texts are pinned too, at a fixed ``COLUMNS`` (argparse
+wraps to the terminal width).
 """
 
 import csv
@@ -299,6 +305,16 @@ GOLDEN = {
         (0, "8ac5623e3fdba4206bb74561de04a9f15ee697bee17e843fc3c05264bbbffba9"),
     "spectrum --from=0 --to=12 --format=csv":
         (0, "6fe3223dfd9bdfa235c125694f1f36bb8abbb53105ef2c19407d435be7e44d1a"),
+    "spectrum --from=0 --to=300 --format=json":
+        (0, "f2a24c48ef41554e4528481f44bfa1b5648ced12d3f7fc311a2b2707202fec28"),
+    "spectrum --from=395 --to=460 --format=json":
+        (0, "a66c7acbb91e3b0ce27f11aae53568483143f382a132c1ed6e6c2baa4f0de576"),
+    "spectrum --from=395 --to=460 --format=csv":
+        (0, "2cd46947384d7b132f3cbb87339dfb5a5bb211246ecaf40f9316550225e9f314"),
+    "spectrum --from=1000 --to=1010 --format=json":
+        (0, "eb455113b3b76816bfbce05ab7375a6003d68ec8c5a39b64b8c8e008278afbfa"),
+    "spectrum --from=1000 --to=1010 --format=csv":
+        (0, "68f700f2c19cfd9297de78ca63e6526df91012a703a884839ce5f97ee6f47312"),
     "measure --check=kummer --a=3 --b=1 --c=2 --format=json":
         (0, "dc8cc1632576c383db96e6c89db7c5bedcb47dfc0012d9af6ea6a0178049e43b"),
     "measure --check=kummer --a=3 --b=1 --c=2 --format=csv":
@@ -347,6 +363,28 @@ def test_stdout_bytes(argv, capsys):
     code = main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
+# argv -> sha256 of the help text at COLUMNS=80
+HELP = {
+    "--help": "78a925626fee5b009cbcf9c695d8436dfb439f264b554f7f80e6a4aecdcba608",
+    "rep --help": "8bb87b66b7b8789c8d8eb46ecfac4eb479dba0c3086850ef0ddcf8aceb87925b",
+    "casimir --help": "9a3e5ee75f17b9d827c0df0dc11cbe6024cef858f64e38a815d8c790fc083fc7",
+    "verify --help": "7282c1caabb18170826ad89828c4c131e1fc44891fe7ed4bb23fa76a41b56b55",
+    "diffcheck --help": "16ddd2aff38642c5963956d3f96ca078c5da96f33f8545c1137b54ef29e8a7ce",
+    "coherent --help": "88dfcf43ed18f8e9ceeff7a3aefea07189327328d3309b9e06847f1bb2aa7419",
+    "measure --help": "c8f4d24f0aa32a87bc3f76b644fd6fd2104a4f0944dce6ea2909aef41b5f5978",
+    "spectrum --help": "ec45be8e416049eb00f6eae9f07a1c6c2836ff9fe15f4f5f4fe38b1b824b6e4a",
+    "deform --help": "d20b1d7374af66dbaf5da95bf7c0d7c6d8fa4f3d0a2542393fc094b83845ba2d",
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP))
+def test_help_text_bytes(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, HELP[argv])
 
 
 @pytest.mark.parametrize("argv", [argv for argv in GOLDEN if "--format=csv" in argv])

@@ -44,6 +44,24 @@ def test_partition_formula_examples():
     assert partition_formula(0) == 1
 
 
+def enumerate_pairs(N, ordered):
+    """The brute force by a double loop: every (n1, n2) on every line n1 + n2 = N - 2*n3."""
+    count = 0
+    for n3 in range(N // 2 + 1):
+        rest = N - 2 * n3
+        for n1 in range(rest + 1):
+            n2 = rest - n1
+            if ordered or n1 <= n2:
+                count += 1
+    return count
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_brute_force_equals_double_loop(ordered):
+    for n in range(301):
+        assert brute_force_count(n, ordered) == enumerate_pairs(n, ordered), n
+
+
 def test_brute_force_examples():
     assert brute_force_count(2, ordered=True) == 4
     assert brute_force_count(4, ordered=True) == 9
@@ -66,6 +84,11 @@ def test_three_counts_agree_up_to_60():
         rep = level_report(n)
         assert rep.consistent, n
         assert rep.l == F(n + 1, 4)
+
+
+@pytest.mark.parametrize("n", [1000, 2047, 4095])
+def test_three_counts_agree_at_large_n(n):
+    assert level_report(n).consistent
 
 
 def test_multiplicity_rule():
