@@ -101,19 +101,21 @@ def _sum_convergent(num, den, x, tol, max_terms, stop_at: Optional[int]) -> Hype
         f"series did not converge within {max_terms} terms (|last term| = {abs(term):.3e})")
 
 
-def _sum_2f0(a: float, b: float, x: Number, order: int, stop: Optional[int]):
+def _sum_2f0(a: float, b: float, x: Number, order: int, stop: Optional[int], value_only=False):
     """2F0(a, b; x) over at most ``order`` terms, as the fields of a HypergeomResult.
 
     A polynomial (``stop`` non-zero terms) is summed in full; any other
-    series ends before its first term that does not shrink.
+    series ends before its first term that does not shrink (with
+    ``value_only``, also before one that cannot move the sum).
     """
     term = total = best = 1.0
     best_m = m = 0
     last = order if stop is None or stop > order else stop
     while m + 1 < last:
         nxt = term * (a + m) * (b + m) * x / (m + 1)
-        if stop is None and abs(nxt) >= best:
-            # terms started growing: optimal truncation reached
+        if stop is None and (abs(nxt) >= best
+                             or value_only and abs(nxt) < 0.25 * math.ulp(total)):
+            # terms started growing (optimal truncation), or none left can change the value
             return total, m + 1, False, best_m, abs(nxt)
         term = nxt
         total = total + term
@@ -130,12 +132,11 @@ def hypergeom(series: HypergeomSeries, x: Number, tol: float = 1e-15,
     """Evaluate a series of kind 0F2, 1F1 or 2F0 at ``x``.
 
     0F2 and 1F1 are summed until ``|term| < tol * |partial sum|`` (hard cap
-    ``max_terms``); a negative-argument 1F1 is routed through the transform
-    M(a,b,x) = e^x M(b-a,b,-x) so the summed series has eventually constant
-    sign.  2F0 requires a truncation ``order``; a terminating 2F0 is summed
-    in full, any other returns the optimally truncated asymptotic sum
-    together with the smallest-term index and the first omitted term as an
-    error estimate.
+    ``max_terms``); a non-terminating 1F1 at negative real argument is
+    refused, as :func:`confluent_neg` evaluates it stably.  2F0 requires a
+    truncation ``order``; a terminating 2F0 is summed in full, any other
+    returns the optimally truncated asymptotic sum together with the
+    smallest-term index and the first omitted term as an error estimate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -150,9 +151,7 @@ def hypergeom(series: HypergeomSeries, x: Number, tol: float = 1e-15,
             raise ValueError("2F0 is divergent; supply a positive truncation order")
         return HypergeomResult(*_sum_2f0(*series.numerator, x, order, stop))
     if series.kind == "1F1" and not isinstance(x, complex) and x < 0 and stop is None:
-        a, b = series.numerator[0], series.denominator[0]
-        inner = _sum_convergent((b - a,), (b,), -x, tol, max_terms, None)
-        return HypergeomResult(math.exp(x) * inner.value, inner.terms, inner.converged)
+        raise ValueError("a non-terminating 1F1 at negative argument is confluent_neg(a, b, -x)")
     return _sum_convergent(series.numerator, series.denominator, x, tol, max_terms, stop)
 
 
@@ -167,6 +166,10 @@ def confluent_neg(a: float, c: float, x: float) -> float:
     polynomial case; beyond, the algebraic expansion x^(-a) Gamma(c)/Gamma(c-a)
     2F0(a, a-c+1; 1/x) without the exponentially small one of DLMF 13.7.
     Within 1e-12 relative of arbitrary precision for a <= 25, c-a in 0..10.
+    A non-terminating 2F0 stops at its first term below ulp(sum)/4, exactly:
+    every later term is smaller (the sum ends at the first that does not
+    shrink), and below a quarter ulp (below a power of two the spacing
+    halves) a float moves a double on neither side.
     """
     if x < 0:
         raise ValueError("confluent_neg expects x >= 0")
@@ -176,7 +179,7 @@ def confluent_neg(a: float, c: float, x: float) -> float:
         # math.gamma keeps the sign of Gamma(c-a) for negative non-integer c-a
         lead = math.exp(math.lgamma(c) - a * math.log(x)) / math.gamma(p)
         b = a - c + 1
-        return lead * _sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)))[0]
+        return lead * _sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)), value_only=True)[0]
     if x >= 745.0:
         return 0.0  # e^(-x) underflows
     term = tot = 1.0

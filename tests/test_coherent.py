@@ -18,7 +18,8 @@ from quadalg.coherent import (
 )
 from quadalg.errors import SeriesConvergenceError, TruncationError
 from quadalg.reps import AlgebraLabel
-from quadalg.special import HypergeomSeries, hypergeom, series_0f2, series_1f1, series_2f0
+from quadalg.special import (HypergeomSeries, confluent_neg, hypergeom, series_0f2, series_1f1,
+                             series_2f0)
 
 from dense_oracle import rep_matrices
 
@@ -46,8 +47,14 @@ def test_hypergeom_1f1_exponential_identity():
     res = hypergeom(series_1f1(1, 2), 1.0)
     assert res.converged
     assert res.value == pytest.approx(math.e - 1.0, rel=1e-14)
-    res2 = hypergeom(series_1f1(1, 2), -3.0)
-    assert res2.value == pytest.approx((math.exp(-3) - 1) / -3, rel=1e-13)
+    assert confluent_neg(1.0, 2.0, 3.0) == pytest.approx((math.exp(-3) - 1) / -3, rel=1e-13)
+
+
+def test_hypergeom_refuses_negative_nonterminating_1f1():
+    with pytest.raises(ValueError, match="confluent_neg"):
+        hypergeom(series_1f1(1, 2), -3.0)
+    # a terminating 1F1 is a polynomial and is summed at any argument
+    assert hypergeom(series_1f1(-2, 1), -1.0).value == pytest.approx(1 + 2 + 0.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("b1,b2", [(1.0, 1.0), (2.0, 0.5), (3.0, 4.0), (1.5, 2.5)])
@@ -62,9 +69,9 @@ def test_0f2_against_mpmath(b1, b2, x):
 @pytest.mark.parametrize("a,b", [(0.5, 1.5), (2.0, 5.0), (3.5, 1.25), (6.0, 2.0)])
 @pytest.mark.parametrize("x", [2.5, -2.5, 20.0, -20.0, -60.0])
 def test_1f1_against_mpmath(a, b, x):
-    got = hypergeom(series_1f1(a, b), x)
+    got = hypergeom(series_1f1(a, b), x).value if x > 0 else confluent_neg(a, b, -x)
     ref = float(mp.hyp1f1(a, b, x))
-    assert got.value == pytest.approx(ref, rel=1e-12)
+    assert got == pytest.approx(ref, rel=1e-12)
 
 
 def test_terminating_1f1_is_polynomial():

@@ -14,7 +14,10 @@ The remaining commands are pinned in both formats as well: ``diffcheck``
 for all four kinds (default and explicit sizes), ``spectrum`` up to N = 12
 and over the wide windows 0..300, 395..460 and 1000..1010,
 ``measure`` (kummer, both moment tables, resolution; exit 3 at ``--tol=0``)
-and the two Perelomov families of ``coherent``.  The four non-fermion
+and the two Perelomov families of ``coherent``.  Two ``kummer`` cases with
+non-integer c - a and two ``resolution`` labels were recorded before M(a; c; -x)
+was memoised per check and its asymptotic 2F0 stopped at the first term that
+cannot move the sum; the first ``kummer`` case reaches that 2F0 (R = 164).  The four non-fermion
 ``deform`` CSV digests were recorded after CSV cells became quoted: their
 ``residuals`` cell holds inline JSON with commas and quotes.  The two
 d = 2048 ``rep`` JSON digests were recorded from the dense
@@ -323,6 +326,22 @@ GOLDEN = {
         (3, "dc8cc1632576c383db96e6c89db7c5bedcb47dfc0012d9af6ea6a0178049e43b"),
     "measure --check=kummer --a=3 --b=1 --c=2 --tol=0 --format=csv":
         (3, "a127750f8055fd9ab1abb30b4adbcd7c815594aa971191ac52619a5dad84052c"),
+    "measure --check=kummer --a=7.5 --b=2.5 --c=3.2 --format=json":
+        (0, "42ae94a6011fce6306770f5e0d7a5d9212d77d04230d748a8e234e87b832e73b"),
+    "measure --check=kummer --a=7.5 --b=2.5 --c=3.2 --format=csv":
+        (0, "e06d9906eb86ac49326983f9730c9929359f040455c57b5349d877e6f766b0b0"),
+    "measure --check=kummer --a=6 --b=0.6 --c=5.5 --format=json":
+        (0, "5816a58a43935d6921a22624ea729b191e108b185d24cede14a127d7541353db"),
+    "measure --check=kummer --a=6 --b=0.6 --c=5.5 --format=csv":
+        (0, "5a173ec61c45d03be090eea3d3ebf79f4fc3dc01e109e9753796a2ab0eb9eae3"),
+    "measure --check=resolution --k=2 --l=7 --format=json":
+        (0, "5c97171bf220d8135e49af254109136c49b26cf5b26cd41694427a4485617d31"),
+    "measure --check=resolution --k=2 --l=7 --format=csv":
+        (0, "c71ad72345d51bc25636d662bfb7c535b0c6f57ee30837c4b46dbe4409ad0fec"),
+    "measure --check=resolution --k=1/2 --l=27/4 --format=json":
+        (0, "c4e2acd591acfd0a70cb3285f64773a31dc780fab6b55b573e93f0574206e044"),
+    "measure --check=resolution --k=1/2 --l=27/4 --format=csv":
+        (0, "a219104c7780bc004e5f29c0638adb0acb482ef72366c92590f99123964f0cc3"),
     "measure --check=bg-moments --k=1/2 --l=1/4 --format=json":
         (0, "8f42a40a6781b343dfeafd50adae820bba7e0fed9a3e18a4bcf2477d82a6c4e4"),
     "measure --check=bg-moments --k=1/2 --l=1/4 --format=csv":

@@ -5,20 +5,21 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quadalg import measures
 from quadalg.coherent import bg_state, perelomov_noncompact
 from quadalg.measures import (
     QuadratureSpec,
     bg_moment_targets,
-    compact_moment_closed_form,
     kummer_integral_analytic,
     kummer_integral_check,
     perelomov_moment_targets,
     verify_compact_resolution,
 )
 from quadalg.reps import AlgebraLabel
-from quadalg.special import confluent_neg
+from quadalg.special import confluent_neg, is_nonpos_int, termination_index
 
 from dense_oracle import rising
 
@@ -132,6 +133,89 @@ def test_confluent_neg_integer_grid_against_mpmath(a):
     assert worst <= 1e-12
 
 
+# The evaluator as it was before its asymptotic 2F0 stopped at the first term
+# that cannot move the sum: the reference for the exactness test below.
+_REF_ASYMPTOTIC_SWITCH = 80.0
+
+
+def _ref_sum_2f0(a, b, x, order, stop):
+    term = total = best = 1.0
+    best_m = m = 0
+    last = order if stop is None or stop > order else stop
+    while m + 1 < last:
+        nxt = term * (a + m) * (b + m) * x / (m + 1)
+        if stop is None and abs(nxt) >= best:
+            # terms started growing: optimal truncation reached
+            return total, m + 1, False, best_m, abs(nxt)
+        term = nxt
+        total = total + term
+        m += 1
+        if abs(term) < best:
+            best, best_m = abs(term), m
+    if m + 1 == stop:
+        return total, m + 1, True, best_m, 0.0
+    return total, m + 1, False, best_m, abs(term * (a + m) * (b + m) * x / (m + 1))
+
+
+def _ref_confluent_neg(a, c, x):
+    if x < 0:
+        raise ValueError("confluent_neg expects x >= 0")
+    p = c - a
+    terminating = is_nonpos_int(p)
+    if not terminating and x > _REF_ASYMPTOTIC_SWITCH:
+        # math.gamma keeps the sign of Gamma(c-a) for negative non-integer c-a
+        lead = math.exp(math.lgamma(c) - a * math.log(x)) / math.gamma(p)
+        b = a - c + 1
+        return lead * _ref_sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)))[0]
+    if x >= 745.0:
+        return 0.0  # e^(-x) underflows
+    term = tot = 1.0
+    steps = -round(p) if terminating else 100000
+    m = 0
+    while m < steps:
+        term *= (p + m) * x / ((c + m) * (m + 1))
+        tot += term
+        if abs(term) < 1e-16 * abs(tot):
+            break
+        m += 1
+    return math.exp(-x) * tot
+
+
+@settings(max_examples=1500, deadline=None)
+@given(a=st.floats(0.5, 25.0, exclude_min=True), c=st.floats(0.5, 30.0, exclude_min=True),
+       x=st.floats(0.0, 1e6) | st.floats(80.0, 2000.0))
+@example(a=7.5, c=3.2, x=164.2)       # kummer --a 7.5 --b 2.5 --c 3.2: non-integer c - a < 0
+@example(a=4.0, c=9.0, x=81.0)        # c - a = 5: the 2F0 terminates
+@example(a=22.0, c=17.7, x=81.0)
+def test_confluent_neg_bits_equal_the_full_asymptotic_sum(a, c, x):
+    assert confluent_neg(a, c, x).hex() == _ref_confluent_neg(a, c, x).hex()
+
+
+def _count_confluent_calls(monkeypatch) -> list:
+    nodes = []
+
+    def counted(a, c, x):
+        nodes.append(x)
+        return confluent_neg(a, c, x)
+
+    monkeypatch.setattr(measures, "confluent_neg", counted)
+    return nodes
+
+
+def test_resolution_evaluates_m_once_per_node(monkeypatch):
+    nodes = _count_confluent_calls(monkeypatch)
+    report = verify_compact_resolution(AlgebraLabel.compact(2, 7))
+    assert len(nodes) == len(set(nodes))
+    # the moments share their nodes, and evals still counts every node of each
+    assert len(nodes) < sum(ch.evals for ch in report.checks)
+
+
+def test_kummer_evaluates_m_once_per_node_across_both_passes(monkeypatch):
+    nodes = _count_confluent_calls(monkeypatch)
+    res = kummer_integral_check(7.5, 2.5, 3.2)   # small integral: rescaled second pass
+    assert len(nodes) == len(set(nodes)) < res.evals
+
+
 def test_confluent_neg_terminating_branch():
     # c - a a non-positive integer: e^(-x) times a polynomial
     assert confluent_neg(3.0, 3.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
@@ -169,6 +253,28 @@ def test_kummer_integral_grid():
         ref = float(mp.gamma(b) * mp.gamma(c) * mp.gamma(a - b) / (mp.gamma(a) * mp.gamma(c - b)))
         assert res.analytic == pytest.approx(ref, rel=1e-13)
         assert res.rel_error <= 1e-8, (a, b, c, res.rel_error)
+
+
+def compact_moment_closed_form(label, n):
+    """Exact value of the n-th assembled compact moment (always 1).
+
+    The closed-form integral gives, with a = s+2 and c = s+2k+1,
+
+        Gamma(a)/Gamma(c) * int_0^inf x^n M(a;c;-x) dx
+            = Gamma(n+1) Gamma(a-n-1) / Gamma(c-n-1)
+            = n! (s-n)! / (s+2k-n-1)!
+
+    and the projector weight is its exact reciprocal.  Every gamma argument
+    is an integer here, so the whole check lives inside the rationals.
+    """
+    s = label.step
+    twok = int(2 * label.k)
+    if not 0 <= n <= s:
+        raise ValueError(f"moment index must lie in 0..{s}")
+    fac = math.factorial
+    weight = F(fac(s + twok - n - 1), fac(n) * fac(s - n))
+    closed_integral = F(fac(n) * fac(s - n), fac(s + twok - n - 1))
+    return weight * closed_integral
 
 
 def test_compact_moment_closed_form_is_one():
