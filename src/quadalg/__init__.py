@@ -17,16 +17,14 @@ from .errors import (
 )
 from .polyalg import CasimirPoly, RationalPoly, discrete_antiderivative
 from .reps import (
+    ALGEBRAS,
     AlgebraLabel,
     Representation,
     Su2Label,
     Su11Label,
     casimir_value,
-    compact_rep,
-    noncompact_rep,
-    su2_rep,
-    su11_rep,
-    two_dim_family,
+    ladder_rep,
+    structure_poly,
 )
 from .fock3 import FockSpace, RealizedOperators, realize, verify_realization
 from .diffreal import DiffOp, MonomialBasis, band_elements, build_realization

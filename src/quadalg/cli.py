@@ -38,7 +38,6 @@ from .errors import InvalidLabelError, NumericalToleranceError
 from .output import JSONFragment, json_dumps, write_csv
 
 DEFAULT_MAX_DIM = 4096
-SECTORS = ("compact", "noncompact", "su2", "su11")
 DIFF_SECTORS = {"su2": "su2", "su11": "su11", "compactQ": "compact", "noncompactQ": "noncompact"}
 # one piece of a spectrum level as a JSON object and as a CSV field
 _PART_JSON = '{{"k": "{0.k}", "dim": {0.dim}, "multiplicity": {0.multiplicity}}}'.format
@@ -105,31 +104,35 @@ def _check_dim(dim: int, what: str = "dimension") -> int:
     return dim
 
 
-def _label(args, sector: str) -> reps.AlgebraLabel:
-    """The label of ``--k``/``--l`` in ``sector``; a compact one must fit the cap."""
-    if args.k is None or args.l is None:
-        raise InvalidLabelError(f"--k and --l are required for a {sector} label")
-    label = reps.AlgebraLabel(args.k, args.l, sector)
-    if sector == "compact":
+# each sector's label options and the constructor that takes them in that order
+_LABELS = {
+    "compact": (("k", "l"), reps.AlgebraLabel.compact),
+    "noncompact": (("k", "l"), reps.AlgebraLabel.noncompact),
+    "su2": (("j",), reps.Su2Label),
+    "su11": (("k",), reps.Su11Label),
+}
+
+
+def _label(args, sector: str) -> reps.AnyLabel:
+    """The label the options fix in ``sector``; a finite representation must fit the cap."""
+    names, make = _LABELS[sector]
+    values = [getattr(args, name) for name in names]
+    if None in values:
+        flags = " and ".join(f"--{name}" for name in names)
+        raise InvalidLabelError(f"{flags} {'is' if len(names) == 1 else 'are'} required "
+                                f"for a {sector} label")
+    label = make(*values)
+    if reps.ALGEBRAS[sector].finite:
         _check_dim(label.dim)
     return label
 
 
 def _build_rep(args, sector: str, dim: int | None, default_dim: int) -> reps.Representation:
     """The representation the label options fix, truncated to ``dim`` if infinite."""
-    if sector == "su2":
-        if args.j is None:
-            raise InvalidLabelError("--j is required for sector su2")
-        _check_dim(int(2 * reps.Su2Label(args.j).j) + 1)
-        return reps.su2_rep(args.j)
-    if sector == "su11":
-        if args.k is None:
-            raise InvalidLabelError("--k is required for sector su11")
-        return reps.su11_rep(args.k, _check_dim(default_dim if dim is None else dim))
     label = _label(args, sector)
-    if sector == "compact":
-        return reps.compact_rep(label)
-    return reps.noncompact_rep(label, _check_dim(default_dim if dim is None else dim))
+    if reps.ALGEBRAS[sector].finite:
+        return reps.ladder_rep(label)
+    return reps.ladder_rep(label, _check_dim(default_dim if dim is None else dim))
 
 
 def _fields(doc: dict, code: int):
@@ -152,8 +155,8 @@ def _cmd_casimir(args):
     rep = _build_rep(args, args.sector, args.dim, 8 if args.sector == "su11" else 16)
     report = reps.casimir_value(rep)
     doc = reps.label_fields(rep)
-    doc["structure_coeffs"] = [str(c) for c in reps.structure_poly(rep).coeffs]
-    doc["casimir_poly_coeffs"] = [str(c) for c in reps.casimir_poly(rep).poly.coeffs]
+    doc["structure_coeffs"] = [str(c) for c in reps.structure_poly(rep.label).coeffs]
+    doc["casimir_poly_coeffs"] = [str(c) for c in reps.casimir_poly(rep.label).poly.coeffs]
     doc["convention"] = report.convention_note
     doc["value"] = report.value
     doc["max_deviation"] = report.max_deviation
@@ -208,7 +211,7 @@ def _cmd_coherent(args):
     if args.family == "bg":
         dim = None if args.dim is None else _check_dim(args.dim)
         state = coherent.bg_state(label, args.param, dim=dim, max_dim=_max_dim())
-        rep = reps.noncompact_rep(label, state.truncation)
+        rep = reps.ladder_rep(label, state.truncation)
         # |qm c - param c|, relative to |param| unless it is 0; (qm c)[n] = raising[n] c[n+1]
         lowered = np.append(rep.raising * state.coeffs[1:], 0.0)
         resid = np.linalg.norm(lowered - args.param * state.coeffs) / (abs(args.param) or 1.0)
@@ -306,7 +309,7 @@ def _cmd_deform(args):
             "rhs_poly_coeffs": [str(c) for c in check.rhs_poly.coeffs],
         }, 0 if check.passed else 3)
     label = _label(args, "compact")
-    osc = defosc.deform(reps.compact_rep(label))
+    osc = defosc.deform(reps.ladder_rep(label))
     residuals = defosc.commutator_residuals(osc)
     passed = max(residuals.values()) <= args.tol
     return _fields({
@@ -340,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
                              ("casimir", _cmd_casimir,
                               "structure/Casimir polynomials and scalar value")):
         p = command(name, func, help)
-        p.add_argument("--sector", choices=SECTORS, required=True)
+        p.add_argument("--sector", choices=tuple(reps.ALGEBRAS), required=True)
         p.add_argument("--k", type=_frac)
         p.add_argument("--l", type=_frac)
         p.add_argument("--j", type=_frac)
         p.add_argument("--dim", type=int)
 
     p = command("verify", _cmd_verify, "verify a bosonic realization on a truncated Fock space")
-    p.add_argument("--sector", choices=SECTORS, required=True)
+    p.add_argument("--sector", choices=tuple(reps.ALGEBRAS), required=True)
     p.add_argument("--cutoffs", type=_cutoffs, default=(8,),
                    help="per-mode cutoffs, e.g. '8' or '8,8,8'")
     p.add_argument("--tol", type=_finite_float, default=1e-10)

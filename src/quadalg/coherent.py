@@ -226,19 +226,3 @@ def perelomov_compact(label: AlgebraLabel, parameter: complex,
         norm_constant=n_const, truncation=dim, divergence_flag=False,
         provenance=provenance,
     )
-
-
-def bg_overlap_series(label: AlgebraLabel, alpha: complex, alpha2: complex,
-                      tol: float = 1e-15) -> complex:
-    """Overlap of two lowering-eigenstates via the gamma-form series.
-
-    <alpha|alpha2> = 0F2(conj(alpha)*alpha2) / sqrt(0F2(|alpha|^2) *
-    0F2(|alpha2|^2)); an independent route to the coefficient dot product.
-    """
-    k = float(label.k)
-    s = label.step
-    ser = series_0f2(2 * k, s + 1)
-    num = hypergeom(ser, complex(alpha).conjugate() * complex(alpha2), tol=tol).value
-    d1 = hypergeom(ser, abs(alpha) ** 2, tol=tol).value
-    d2 = hypergeom(ser, abs(alpha2) ** 2, tol=tol).value
-    return num / math.sqrt(d1 * d2)

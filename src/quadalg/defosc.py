@@ -2,7 +2,8 @@
 
 Rescaling the compact ladder pair by 1/sqrt(l(l+1) - k(1-k)) turns each
 finite representation into a deformed oscillator (N, A, A+) with
-[A, A+] = F(N) for a quadratic polynomial F with F(0) = 1.  The canonical
+[A, A+] = F(N), where F = -p/sq is the compact structure polynomial p
+rescaled to F(0) = 1 (sq = -p(0) = l(l+1) - k(1-k)).  The canonical
 fermion is the 2-dimensional instance: it coincides with the deformation of
 the (k=1, l=1) representation.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polyalg import RationalPoly
-from .reps import AlgebraLabel, Representation, compact_rep, relation_bands
+from .reps import AlgebraLabel, Representation, ladder_rep, relation_bands, structure_poly
 
 
 @dataclass
@@ -37,18 +38,18 @@ class DeformedOscillator:
 def deform(rep: Representation) -> DeformedOscillator:
     """Rescale a compact representation into deformed-oscillator form.
 
-    F(N) = 1 - 3 N^2 / sq - (2l-1) N / sq with sq = l(l+1) - k(1-k), which
-    is positive for every valid compact label.
+    F(N) = -p(N) / sq for the structure polynomial p, with sq = -p(0) =
+    l(l+1) - k(1-k), which is positive for every valid compact label.
     """
     label = rep.label
-    if not isinstance(label, AlgebraLabel) or label.sector != "compact":
+    if label.sector != "compact":
         raise ValueError("deformation is defined for compact representations")
-    k, l = label.k, label.l
-    sq = l * (l + 1) - k * (1 - k)
+    p = structure_poly(label)
+    sq = -p(0)
     if sq <= 0:
         raise ValueError(f"non-positive scale l(l+1) - k(1-k) = {sq}")
     scale = float(np.sqrt(float(sq)))
-    f_poly = RationalPoly([1, -(2 * l - 1) / sq, -Fraction(3) / sq])
+    f_poly = p * (-1 / sq)
     return DeformedOscillator(
         label=label, number=rep.diag, lowering=rep.raising / scale,
         f_poly=f_poly, scale_sq=sq, scale=scale,
@@ -101,7 +102,7 @@ def fermion_check() -> FermionCheck:
         and np.array_equal(n @ fdag - fdag @ n, fdag)
     )
     nilpotent = not np.any(f @ f)
-    osc = deform(compact_rep(AlgebraLabel.compact(1, 1)))
+    osc = deform(ladder_rep(AlgebraLabel.compact(1, 1)))
     matches = (
         osc.f_poly == rhs_poly
         and np.array_equal(osc.number, np.diag(n))

@@ -4,6 +4,8 @@ Every realized ladder generator is a monomial in the mode ladder operators:
 on the occupation basis, one fixed shift of the occupations with one weight
 per state.  ``realize`` builds that per-state data from one ``SECTORS``
 entry, and every check runs on it in O(states); no dense matrix is built.
+The expected [Q+, Q-] is the sector's structure polynomial of
+``reps.ALGEBRAS``, evaluated at the realized diagonals.
 Truncation policy: any amplitude raised past a mode cutoff is dropped, so
 operator products are only trusted on the *interior* states, whose orbits
 under short words of the realized ladder operators stay inside the cutoffs.
@@ -21,6 +23,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import polyalg
+from .reps import ALGEBRAS
 
 
 class FockSpace:
@@ -76,14 +79,12 @@ class RealizedOperators:
 
 class Sector(NamedTuple):
     """The raising monomial's occupation change; q0, k and l (None for the linear
-    two-mode algebras) as functions of the occupations n; and the expected
-    [raising, lowering] as a function of the diagonals (q0, k, l)."""
+    two-mode algebras) as functions of the occupations n."""
 
     move: tuple[int, ...]
     q0: Callable
     k: Callable
     l: Optional[Callable]
-    structure: Callable
 
 
 # diagonals shared between sectors
@@ -93,17 +94,14 @@ _pair_casimir = lambda n: (1 - (n[0] - n[1]) ** 2) / 4
 
 SECTORS = {
     # raising a1†a2†a3
-    "compact": Sector((1, 1, -1), _grading, _pair_casimir, _l_like,
-                      lambda q0, k, l: (3 * q0 * q0 + (2 * l - 1) * q0) + (k - l * (l + 1))),
+    "compact": Sector((1, 1, -1), _grading, _pair_casimir, _l_like),
     # raising a1†a2†a3†: the grading operator and the l-like invariant swap roles
-    "noncompact": Sector((1, 1, 1), _l_like, _pair_casimir, _grading,
-                         lambda q0, k, l: (-3 * q0 * q0 - (2 * l + 1) * q0) - (k - l * (l - 1))),
+    "noncompact": Sector((1, 1, 1), _l_like, _pair_casimir, _grading),
     # quantum transfer a1†a2, with the realized quadratic Casimir as k
     "su2": Sector((1, -1), lambda n: (n[0] - n[1]) / 2,
-                  lambda n: (n[0] + n[1]) * (n[0] + n[1] + 2) / 4, None, lambda q0, k, l: 2.0 * q0),
+                  lambda n: (n[0] + n[1]) * (n[0] + n[1] + 2) / 4, None),
     # pair creation a1†a2†
-    "su11": Sector((1, 1), lambda n: (n[0] + n[1] + 1) / 2, _pair_casimir, None,
-                   lambda q0, k, l: -2.0 * q0),
+    "su11": Sector((1, 1), lambda n: (n[0] + n[1] + 1) / 2, _pair_casimir, None),
 }
 
 # length of the ladder words whose orbits must stay inside the box
@@ -174,6 +172,15 @@ class RealizationReport:
         return {**asdict(self), "max_residual": self.max_residual}
 
 
+def expected_commutator(ops: RealizedOperators) -> np.ndarray:
+    """Per state, the [raising, lowering] that the sector's structure polynomial
+    predicts: (c2 q0 q0 + c1 q0) + c0 with the coefficients of ``ALGEBRAS`` at
+    the realized k and l diagonals."""
+    c0, c1, c2 = ALGEBRAS[ops.sector].structure(ops.k_diag, ops.l_diag)
+    q0 = ops.q0_diag
+    return (c2 * q0 * q0 + c1 * q0) + c0
+
+
 def verify_realization(ops: RealizedOperators) -> RealizationReport:
     """Report interior residuals of every defining relation of the realization.
 
@@ -193,11 +200,10 @@ def verify_realization(ops: RealizedOperators) -> RealizationReport:
         return d[target] * w - w * d[s]
 
     q0 = ops.q0_diag
-    expected = SECTORS[ops.sector].structure(q0, ops.k_diag, ops.l_diag)
     residuals = {
         "q0_qp": resid(comm(q0, t, wp) - wp),
         "q0_qm": resid(comm(q0, u, wm) + wm),
-        "qp_qm": resid((w_up[u] * wm - w_down[t] * wp) - expected[s]),
+        "qp_qm": resid((w_up[u] * wm - w_down[t] * wp) - expected_commutator(ops)[s]),
     }
     for name, d in (("k", ops.k_diag), ("l", ops.l_diag)):
         if d is None:

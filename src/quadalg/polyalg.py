@@ -1,11 +1,12 @@
-"""Exact rational polynomials, structure polynomials, and the Casimir recipe.
+"""Exact rational polynomials and the Casimir recipe.
 
 A one-generator polynomial deformation is fixed by a structure polynomial
 ``p`` through ``[raising, lowering] = p(diagonal)``.  Its Casimir element is
 ``raising @ lowering + g(diagonal - 1)`` where ``g`` is the discrete
 antiderivative of ``p``, i.e. ``g(x) - g(x-1) = p(x)``.  The antiderivative
 is defined up to an additive constant; everything here pins it down by the
-normalisation ``g(-1) = 0``.
+normalisation ``g(-1) = 0``.  The structure polynomials themselves are the
+rows of ``reps.ALGEBRAS``.
 
 Polynomial arithmetic is exact over :class:`fractions.Fraction`; evaluation
 at floats (or elementwise on float arrays) uses the coefficients as floats.
@@ -177,32 +178,3 @@ def discrete_antiderivative(f: RationalPoly) -> CasimirPoly:
     if g - g.shift(-1) != f:
         raise AssertionError("discrete antiderivative failed symbolic check")
     return CasimirPoly(g)
-
-
-# ---------------------------------------------------------------------------
-# Structure polynomials of the algebras built in this package.  k and l are
-# the exact rational labels; K enters as k(1-k).
-
-
-def su2_structure() -> RationalPoly:
-    """[raising, lowering] = 2*diagonal."""
-    return RationalPoly([0, 2])
-
-
-def su11_structure() -> RationalPoly:
-    """[raising, lowering] = -2*diagonal."""
-    return RationalPoly([0, -2])
-
-
-def compact_structure(k: Rat, l: Rat) -> RationalPoly:
-    """3x^2 + (2l-1)x + (k(1-k) - l(l+1)) for the compact three-mode algebra."""
-    k, l = as_fraction(k), as_fraction(l)
-    kk = k * (1 - k)
-    return RationalPoly([kk - l * (l + 1), 2 * l - 1, 3])
-
-
-def noncompact_structure(k: Rat, l: Rat) -> RationalPoly:
-    """-3x^2 - (2l+1)x - (k(1-k) - l(l-1)) for the noncompact three-mode algebra."""
-    k, l = as_fraction(k), as_fraction(l)
-    kk = k * (1 - k)
-    return RationalPoly([-(kk - l * (l - 1)), -(2 * l + 1), -3])

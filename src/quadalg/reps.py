@@ -1,15 +1,18 @@
-"""Closed-form matrix representations.
+"""Ladder representations of the four algebras, built from one table.
 
-Covers the linear two-mode algebras (angular-momentum and positive discrete
-series) and the quadratic three-mode algebras in both sectors:
+Every algebra here is one polynomial: [Q0, Q+-] = +-Q+- and
+[Q+, Q-] = c2 Q0^2 + c1 Q0 + c0.  ``ALGEBRAS`` holds, per sector, the
+coefficients (c0, c1, c2) as a function of K = k(1-k) and l, the lowest Q0
+eigenvalue as a function of the label, and whether the representation is
+finite.  ``ladder_rep`` builds every representation from that entry alone:
 
-* compact sector: finite dimension ``2l - k + 1``, ladder squares
-  ``(n+1)(n+2k)(2l-n-k)``;
-* noncompact sector: infinite representation stored truncated, ladder
-  squares ``(n+1)(n+2k)(n+k-2l+1)``; the top basis index is flagged and
-  excluded from residual norms.
+* compact: finite dimension ``2l - k + 1``;
+* noncompact: infinite, stored truncated; the top basis index is flagged
+  and excluded from residual norms;
+* su2 (spin j, dimension ``2j + 1``) and su11 (positive discrete series k,
+  stored truncated): the linear two-mode algebras.
 
-Labels ``(k, l)`` are exact rationals (denominators 2 and 4).  All ladder
+Labels are exact rationals (k and j multiples of 1/2, l of 1/4).  All ladder
 matrix elements are square roots of non-negative integers; the exact squared
 values are kept on the representation for exact-arithmetic checks.
 
@@ -22,10 +25,12 @@ is ever built.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -105,11 +110,23 @@ class Su2Label:
     """Spin label j (non-negative multiple of 1/2)."""
 
     j: Fraction
+    sector = "su2"
+    l = None  # the structure polynomial takes no second label
 
     def __post_init__(self):
         object.__setattr__(self, "j", as_fraction(self.j))
         _require((2 * self.j).denominator == 1 and self.j >= 0,
                  f"j must be a non-negative multiple of 1/2, got {self.j}")
+
+    @property
+    def kval(self) -> Fraction:
+        """Eigenvalue j(j+1) of the quadratic Casimir."""
+        return self.j * (self.j + 1)
+
+    @property
+    def dim(self) -> int:
+        """Dimension 2j+1 of the spin-j representation."""
+        return int(2 * self.j) + 1
 
 
 @dataclass(frozen=True)
@@ -117,14 +134,51 @@ class Su11Label:
     """Discrete-series label k (2k a positive integer)."""
 
     k: Fraction
+    sector = "su11"
+    l = None  # the structure polynomial takes no second label
 
     def __post_init__(self):
         object.__setattr__(self, "k", as_fraction(self.k))
         _require((2 * self.k).denominator == 1 and self.k > 0,
                  f"k must be a positive multiple of 1/2, got {self.k}")
 
+    @property
+    def kval(self) -> Fraction:
+        """Eigenvalue k(1-k) of the quadratic Casimir."""
+        return self.k * (1 - self.k)
+
 
 AnyLabel = Union[AlgebraLabel, Su2Label, Su11Label]
+
+
+class Algebra(NamedTuple):
+    """One sector: [Q+, Q-] = c2 Q0^2 + c1 Q0 + c0 with ``structure(K, l) = (c0, c1, c2)``,
+    the Q0 eigenvalue of the lowest state as a function of the label, and
+    whether the representation is finite.
+
+    ``structure`` takes exact rationals (K = k(1-k) and l of a label) or
+    per-state float arrays (the realized K and l of ``fock3``); the
+    two-mode algebras ignore both.
+    """
+
+    structure: Callable
+    lowest: Callable
+    finite: bool
+
+
+ALGEBRAS = {
+    "compact": Algebra(lambda K, l: (K - l * (l + 1), 2 * l - 1, 3),
+                       lambda label: label.k - label.l, True),
+    "noncompact": Algebra(lambda K, l: (-(K - l * (l - 1)), -(2 * l + 1), -3),
+                          lambda label: label.k - label.l, False),
+    "su2": Algebra(lambda K, l: (0, 2, 0), lambda label: -label.j, True),
+    "su11": Algebra(lambda K, l: (0, -2, 0), lambda label: label.k, False),
+}
+
+
+def structure_poly(label: AnyLabel) -> RationalPoly:
+    """Structure polynomial p with [raising, lowering] = p(diagonal)."""
+    return RationalPoly(ALGEBRAS[label.sector].structure(label.kval, label.l))
 
 
 @dataclass
@@ -132,17 +186,15 @@ class Representation:
     """Exact band data of a ladder representation, with its float images.
 
     ``q0_diag[n]`` is the exact diagonal entry and ``qp_sq[n]`` the exact
-    rational square of the raising entry n -> n+1; ``diag`` and ``raising``
+    (integer) square of the raising entry n -> n+1; ``diag`` and ``raising``
     are their floats (``raising[n] = sqrt(float(qp_sq[n]))``).  The lowering
     entry n+1 -> n equals the raising entry n -> n+1.  For a truncated
-    noncompact representation ``boundary_index`` marks the top basis index,
-    whose raising transition was dropped.
+    representation ``boundary_index`` marks the top basis index, whose
+    raising transition was dropped.
     """
 
     label: AnyLabel
     dim: int
-    kval: Optional[Fraction]
-    lval: Optional[Fraction]
     qp_sq: tuple[Fraction, ...]
     q0_diag: tuple[Fraction, ...]
     diag: np.ndarray
@@ -159,99 +211,35 @@ class Representation:
         return mask
 
 
-def _ladder_rep(label: AnyLabel, dim: int, q0_diag, squares, *, truncated: bool,
-                kval=None, lval=None) -> Representation:
-    """``squares`` are the exact (positive integer) squares of the raising entries."""
-    assert len(squares) == max(dim - 1, 0)
-    q0d = tuple(as_fraction(x) for x in q0_diag)
+def ladder_rep(label: AnyLabel, dim: Optional[int] = None) -> Representation:
+    """The representation of ``label``; an infinite one truncated to ``dim`` states.
+
+    The diagonal climbs in unit steps from the sector's lowest Q0, and the
+    squares follow from the structure polynomial p alone: [Q+, Q-] = p(Q0)
+    at level n reads qp_sq[n-1] - qp_sq[n] = p(q0_n), with qp_sq[-1] = 0.
+    Each step -p(q0_n) is an integer and quadratic in n, so the steps are
+    generated from their forward differences at n = 0 and summed in ints.
+    """
+    algebra = ALGEBRAS[label.sector]
+    if algebra.finite:
+        dim = label.dim
+    elif dim is None or dim < 1:
+        raise InvalidLabelError(f"truncation dimension must be >= 1, got {dim}")
+    low = algebra.lowest(label)
+    c0, c1, c2 = algebra.structure(label.kval, label.l)
+    # -p(low + n) at n = 0 and its first and second forward differences
+    s0, d1, d2 = -(c0 + (c1 + c2 * low) * low), -(c1 + c2 * (2 * low + 1)), -2 * c2
+    _require(s0.denominator == d1.denominator == 1, f"{label} has non-integer ladder squares")
+    steps = itertools.accumulate(itertools.accumulate(
+        itertools.repeat(int(d2)), initial=int(d1)), initial=int(s0))
+    squares = list(itertools.islice(itertools.accumulate(steps), dim - 1))
+    q0_diag = tuple(low + n for n in range(dim))
     return Representation(
-        label=label, dim=dim, kval=kval, lval=lval,
-        qp_sq=tuple(Fraction(s) for s in squares), q0_diag=q0d,
-        diag=np.array([float(x) for x in q0d]),
+        label=label, dim=dim, qp_sq=tuple(map(Fraction, squares)), q0_diag=q0_diag,
+        diag=np.array([float(x) for x in q0_diag]),
         raising=np.array([math.sqrt(s) for s in squares]),
-        truncated=truncated, boundary_index=(dim - 1 if truncated else None),
+        truncated=not algebra.finite, boundary_index=None if algebra.finite else dim - 1,
     )
-
-
-def compact_rep(label: AlgebraLabel) -> Representation:
-    """Finite representation of the compact quadratic algebra."""
-    _require(label.sector == "compact", "compact_rep needs a compact label")
-    k, l = label.k, label.l
-    dim, twok, step, base = label.dim, int(2 * k), label.step, k - l
-    squares = [(n + 1) * (n + twok) * (step - n) for n in range(dim - 1)]  # 2l-n-k = step-n
-    return _ladder_rep(label, dim, [base + n for n in range(dim)], squares,
-                       truncated=False, kval=label.kval, lval=l)
-
-
-def noncompact_rep(label: AlgebraLabel, dim: int) -> Representation:
-    """Truncation of the infinite noncompact representation to ``dim`` states.
-
-    For k > 1/2 the same matrices also arise from the occupation basis with
-    the first two modes swapped; see ``fock3.eigenspace_states``, which
-    returns both chains.
-    """
-    _require(label.sector == "noncompact", "noncompact_rep needs a noncompact label")
-    if dim < 1:
-        raise InvalidLabelError(f"truncation dimension must be >= 1, got {dim}")
-    k, l = label.k, label.l
-    twok, step, base = int(2 * k), label.step, k - l
-    squares = [(n + 1) * (n + twok) * (n + step + 1) for n in range(dim - 1)]  # k-2l = step
-    return _ladder_rep(label, dim, [base + n for n in range(dim)], squares,
-                       truncated=True, kval=label.kval, lval=l)
-
-
-def su2_rep(j) -> Representation:
-    """Spin-j representation; basis index n = j + m runs upward from m = -j."""
-    label = Su2Label(as_fraction(j))
-    j = label.j
-    twoj = int(2 * j)
-    dim = twoj + 1
-    squares = [(n + 1) * (twoj - n) for n in range(dim - 1)]
-    return _ladder_rep(label, dim, [n - j for n in range(dim)], squares,
-                       truncated=False, kval=j * (j + 1), lval=None)
-
-
-def su11_rep(k, dim: int) -> Representation:
-    """Truncated positive discrete-series representation with lowest weight k."""
-    label = Su11Label(as_fraction(k))
-    k = label.k
-    if dim < 1:
-        raise InvalidLabelError(f"truncation dimension must be >= 1, got {dim}")
-    twok = int(2 * k)
-    squares = [(n + 1) * (twok + n) for n in range(dim - 1)]
-    return _ladder_rep(label, dim, [k + n for n in range(dim)], squares,
-                       truncated=True, kval=k * (1 - k), lval=None)
-
-
-def two_dim_family(k) -> Representation:
-    """The 2-dimensional compact representation attached to each k.
-
-    Distinct k give different Casimir scalars, so the family realises
-    infinitely many inequivalent representations of the same dimension.
-    """
-    k = as_fraction(k)
-    label = AlgebraLabel.compact(k, (k + 1) / 2)
-    rep = compact_rep(label)
-    if not (np.array_equal(rep.diag, [float((k - 1) / 2), float((k + 1) / 2)])
-            and np.array_equal(rep.raising, [math.sqrt(float(2 * k))])):
-        raise AssertionError("2-dimensional family disagrees with compact_rep")
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# Structure polynomials and residuals
-
-
-def structure_poly(rep: Representation) -> RationalPoly:
-    """Structure polynomial p with [raising, lowering] = p(diagonal)."""
-    label = rep.label
-    if isinstance(label, Su2Label):
-        return polyalg.su2_structure()
-    if isinstance(label, Su11Label):
-        return polyalg.su11_structure()
-    if label.sector == "compact":
-        return polyalg.compact_structure(label.k, label.l)
-    return polyalg.noncompact_structure(label.k, label.l)
 
 
 def relation_bands(diag: np.ndarray, raising: np.ndarray):
@@ -264,18 +252,6 @@ def relation_bands(diag: np.ndarray, raising: np.ndarray):
     down = (diag[:-1] * raising - raising * diag[1:]) + raising
     sq = raising * raising
     return up, down, np.append(0.0, sq) - np.append(sq, 0.0)
-
-
-def defining_relation_residuals(rep: Representation) -> dict[str, float]:
-    """Max-norm residuals of the defining relations, on interior columns."""
-    up, down, comm = relation_bands(rep.diag, rep.raising)
-    mask = rep.interior
-    expected = structure_poly(rep)(rep.diag)
-    return {
-        "q0_qp": np.abs(up[mask[:-1]]).max(initial=0.0),
-        "q0_qm": np.abs(down[mask[1:]]).max(initial=0.0),
-        "qp_qm": np.abs((comm - expected)[mask]).max(initial=0.0),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +278,15 @@ class CasimirReport:
     interior_dim: int
 
 
-def casimir_poly(rep: Representation) -> polyalg.CasimirPoly:
-    return polyalg.discrete_antiderivative(structure_poly(rep))
+def casimir_poly(label: AnyLabel) -> polyalg.CasimirPoly:
+    return polyalg.discrete_antiderivative(structure_poly(label))
 
 
 def reference_casimir(label: AnyLabel) -> Fraction:
     """Closed-form Casimir value used as an independent reference per family."""
-    if isinstance(label, Su2Label):
+    if label.sector == "su2":
         return label.j * (label.j + 1)
-    if isinstance(label, Su11Label):
+    if label.sector == "su11":
         return label.k * (1 - label.k)
     k, l = label.k, label.l
     if label.sector == "compact":
@@ -323,7 +299,7 @@ def casimir_value(rep: Representation) -> CasimirReport:
 
     It is diagonal, with entry ``raising[n-1]**2 + g(diag[n] - 1)`` at level n.
     """
-    g = casimir_poly(rep)
+    g = casimir_poly(rep.label)
     mask = rep.interior
     diag = (np.append(0.0, rep.raising * rep.raising) + g(rep.diag - 1.0))[mask]
     value = float(diag.mean()) if diag.size else 0.0
@@ -338,21 +314,6 @@ def casimir_value(rep: Representation) -> CasimirReport:
     )
 
 
-def casimir_scalar_exact(label: AlgebraLabel, check_dim: int = 12) -> Fraction:
-    """Exact Casimir scalar from squared ladder entries, verified across levels.
-
-    Computes ``qp_sq[n-1] + g(q0(n) - 1)`` in rational arithmetic for every
-    level up to ``check_dim`` (or the full compact dimension) and requires all
-    values to coincide.
-    """
-    rep = compact_rep(label) if label.sector == "compact" else noncompact_rep(label, check_dim)
-    g = casimir_poly(rep)
-    values = {low_sq + g(x - 1) for low_sq, x in zip((Fraction(0),) + rep.qp_sq, rep.q0_diag)}
-    if len(values) != 1:
-        raise AssertionError(f"Casimir not scalar in exact arithmetic for {label}")
-    return values.pop()
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -364,12 +325,9 @@ def _frac_str(x: Optional[Fraction]) -> Optional[str]:
 def label_fields(rep: Representation) -> dict:
     """Sector, label and dimension, the head of every ``rep``/``casimir`` document."""
     label = rep.label
-    if isinstance(label, Su2Label):
-        head = {"sector": "su2", "j": _frac_str(label.j)}
-    elif isinstance(label, Su11Label):
-        head = {"sector": "su11", "k": _frac_str(label.k)}
-    else:
-        head = {"sector": label.sector, "k": _frac_str(label.k), "l": _frac_str(label.l)}
+    head = {"sector": label.sector}
+    head.update((f.name, _frac_str(getattr(label, f.name)))
+                for f in dataclasses.fields(label) if f.name != "sector")
     head["dim"] = rep.dim
     return head
 

@@ -164,12 +164,16 @@ def confluent_neg(a: float, c: float, x: float) -> float:
     e^(-x) M(c-a; c; x), a series of eventually constant sign (a polynomial
     when c-a is a non-positive integer), up to x = 80 and for every x in the
     polynomial case; beyond, the algebraic expansion x^(-a) Gamma(c)/Gamma(c-a)
-    2F0(a, a-c+1; 1/x) without the exponentially small one of DLMF 13.7.
-    Within 1e-12 relative of arbitrary precision for a <= 25, c-a in 0..10.
+    2F0(a, a-c+1; 1/x) without the exponentially small one of DLMF 13.7,
+    wherever that 2F0 terminates or converges to the last bit, and from
+    x = 700 on, where e^(-x) M(c-a; c; x) nears underflow.  Within 1e-12
+    relative of arbitrary precision for a <= 25, c-a in 0..10.
     A non-terminating 2F0 stops at its first term below ulp(sum)/4, exactly:
     every later term is smaller (the sum ends at the first that does not
     shrink), and below a quarter ulp (below a power of two the spacing
-    halves) a float moves a double on neither side.
+    halves) a float moves a double on neither side.  A 2F0 whose terms start
+    growing first (large a - c + 1 at moderate x) is only optimally
+    truncated, so M comes from the series instead.
     """
     if x < 0:
         raise ValueError("confluent_neg expects x >= 0")
@@ -179,7 +183,10 @@ def confluent_neg(a: float, c: float, x: float) -> float:
         # math.gamma keeps the sign of Gamma(c-a) for negative non-integer c-a
         lead = math.exp(math.lgamma(c) - a * math.log(x)) / math.gamma(p)
         b = a - c + 1
-        return lead * _sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)), value_only=True)[0]
+        total, _, exact, _, omitted = _sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)),
+                                               value_only=True)
+        if exact or omitted < 0.25 * math.ulp(total) or x >= 700.0:
+            return lead * total
     if x >= 745.0:
         return 0.0  # e^(-x) underflows
     term = tot = 1.0

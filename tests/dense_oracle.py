@@ -8,7 +8,11 @@ operators to whole polynomials.  They are kept here only as a test oracle;
 the library formulas must reproduce them bit for bit.  The library builds no
 dense matrix: ``rep_matrices`` and ``realized_matrices`` render its band and
 per-state data densely for the tests.  ``rising`` is the rising factorial
-the moment ratios were once built from, term by term.
+the moment ratios were once built from, term by term.  The factored ladder
+squares of each sector, which ``reps`` once typed per constructor, are the
+oracle for the squares ``reps.ladder_rep`` derives from the structure
+polynomial; the band residuals, the 2-dimensional family and the exact
+Casimir scalar are helpers whose only callers are tests.
 """
 
 import itertools
@@ -72,7 +76,7 @@ def casimir_matrix(mats, g):
 
 def casimir_value(rep):
     """(value, max_deviation) of the dense Casimir matrix over interior levels."""
-    c = casimir_matrix(rep_matrices(rep), reps.casimir_poly(rep))
+    c = casimir_matrix(rep_matrices(rep), reps.casimir_poly(rep.label))
     mask = rep.interior
     diag = np.diag(c)[mask]
     value = float(diag.mean()) if diag.size else 0.0
@@ -85,7 +89,7 @@ def defining_relation_residuals(rep):
     m = rep_matrices(rep)
     q0, qp, qm = m.q0, m.qp, m.qm
     mask = rep.interior
-    expected = eval_matrix(reps.structure_poly(rep), q0)
+    expected = eval_matrix(reps.structure_poly(rep.label), q0)
     return {
         "q0_qp": np.abs((q0 @ qp - qp @ q0) - qp)[:, mask].max(initial=0.0),
         "q0_qm": np.abs((q0 @ qm - qm @ q0) + qm)[:, mask].max(initial=0.0),
@@ -102,6 +106,75 @@ def commutator_residuals(rep, osc):
         "n_adag": float(np.abs((n @ ad - ad @ n) - ad).max()),
         "a_adag": float(np.abs((a @ ad - ad @ a) - eval_matrix(osc.f_poly, n)).max()),
     }
+
+
+def band_relation_residuals(rep):
+    """The band form of ``defining_relation_residuals``, from ``reps.relation_bands``."""
+    up, down, comm = reps.relation_bands(rep.diag, rep.raising)
+    mask = rep.interior
+    expected = reps.structure_poly(rep.label)(rep.diag)
+    return {
+        "q0_qp": np.abs(up[mask[:-1]]).max(initial=0.0),
+        "q0_qm": np.abs(down[mask[1:]]).max(initial=0.0),
+        "qp_qm": np.abs((comm - expected)[mask]).max(initial=0.0),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Ladder representations in closed form, independent of the structure
+# polynomials of ``reps.ALGEBRAS``: the factored squares and diagonals of the
+# four sectors, and the Casimir scalar checked level by level.
+
+
+def closed_form_squares(label, dim):
+    """Squares of the raising entries n -> n+1 for n < dim - 1, factored."""
+    if label.sector == "su2":
+        twoj = int(2 * label.j)
+        return [(n + 1) * (twoj - n) for n in range(dim - 1)]
+    twok = int(2 * label.k)
+    if label.sector == "su11":
+        return [(n + 1) * (twok + n) for n in range(dim - 1)]
+    if label.sector == "compact":  # 2l-n-k = step-n
+        return [(n + 1) * (n + twok) * (label.step - n) for n in range(dim - 1)]
+    return [(n + 1) * (n + twok) * (n + label.step + 1) for n in range(dim - 1)]  # k-2l = step
+
+
+def closed_form_diagonal(label, dim):
+    """Diagonal of q0: n - j (su2), k + n (su11), k - l + n (three-mode)."""
+    if label.sector == "su2":
+        return [n - label.j for n in range(dim)]
+    if label.sector == "su11":
+        return [label.k + n for n in range(dim)]
+    return [label.k - label.l + n for n in range(dim)]
+
+
+def two_dim_family(k):
+    """The 2-dimensional compact representation attached to each k.
+
+    Distinct k give different Casimir scalars, so the family realises
+    infinitely many inequivalent representations of the same dimension.
+    """
+    k = as_fraction(k)
+    rep = reps.ladder_rep(reps.AlgebraLabel.compact(k, (k + 1) / 2))
+    if not (np.array_equal(rep.diag, [float((k - 1) / 2), float((k + 1) / 2)])
+            and np.array_equal(rep.raising, [math.sqrt(float(2 * k))])):
+        raise AssertionError("2-dimensional family disagrees with ladder_rep")
+    return rep
+
+
+def casimir_scalar_exact(label, check_dim: int = 12) -> Fraction:
+    """Exact Casimir scalar from squared ladder entries, verified across levels.
+
+    Computes ``qp_sq[n-1] + g(q0(n) - 1)`` in rational arithmetic for every
+    level up to ``check_dim`` (or the full compact dimension) and requires all
+    values to coincide.
+    """
+    rep = reps.ladder_rep(label, check_dim)
+    g = reps.casimir_poly(label)
+    values = {low_sq + g(x - 1) for low_sq, x in zip((Fraction(0),) + rep.qp_sq, rep.q0_diag)}
+    if len(values) != 1:
+        raise AssertionError(f"Casimir not scalar in exact arithmetic for {label}")
+    return values.pop()
 
 
 # ---------------------------------------------------------------------------

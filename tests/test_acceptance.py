@@ -14,7 +14,8 @@ import pytest
 from quadalg import coherent, defosc, diffreal, fock3, measures, reps, spectrum
 from quadalg.reps import AlgebraLabel
 
-from dense_oracle import realized_matrices, rep_matrices
+from dense_oracle import (band_relation_residuals, casimir_scalar_exact, realized_matrices,
+                          rep_matrices, two_dim_family)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -46,9 +47,8 @@ def test_criterion_1_defining_relations():
     start = time.monotonic()
     worst = 0.0
     for label, dim in _random_labels(rng, 50):
-        rep = (reps.compact_rep(label) if label.sector == "compact"
-               else reps.noncompact_rep(label, dim))
-        worst = max(worst, max(reps.defining_relation_residuals(rep).values()))
+        rep = reps.ladder_rep(label, dim)
+        worst = max(worst, max(band_relation_residuals(rep).values()))
     elapsed = time.monotonic() - start
     _report(1, "defining-relation residuals <= 1e-10 on 50 random labels",
             worst <= 1e-10 and elapsed < 10.0,
@@ -62,11 +62,11 @@ def test_criterion_2_casimir_scalarity_and_value():
         for step in range(0, 11):                    # 2l-k <= 10
             k = F(twok, 2)
             label = AlgebraLabel.compact(k, (k + step) / 2)
-            rc = reps.casimir_value(reps.compact_rep(label))
+            rc = reps.casimir_value(reps.ladder_rep(label))
             worst_dev = max(worst_dev, rc.max_deviation)
             worst_val = max(worst_val, abs(rc.value - float(rc.reference_value)))
     family_exact = all(
-        reps.casimir_scalar_exact(reps.two_dim_family(F(t, 2)).label)
+        casimir_scalar_exact(two_dim_family(F(t, 2)).label)
         == (-3 * F(t, 2) ** 3 - 5 * F(t, 2) ** 2 + 11 * F(t, 2) - 3) / 8
         for t in range(1, 11))
     _report(2, "compact Casimir scalar (1e-10), closed form (1e-9), 2-dim family exact",
@@ -84,7 +84,7 @@ def test_criterion_3_realization_equivalence():
     worst = 0.0
     n_checked = 0
     for k, l in compact_labels:
-        rep = reps.compact_rep(AlgebraLabel.compact(k, l))
+        rep = reps.ladder_rep(AlgebraLabel.compact(k, l))
         m = rep_matrices(rep)
         for chain in fock3.eigenspace_states(compact, k, l):
             assert len(chain) == rep.dim
@@ -95,7 +95,7 @@ def test_criterion_3_realization_equivalence():
         n_checked += 1
     for k, l in [(F(1, 2), F(1, 4)), (1, F(1, 2))]:
         chain = fock3.eigenspace_states(noncompact, k, l)[0]
-        rep = rep_matrices(reps.noncompact_rep(AlgebraLabel.noncompact(k, l), len(chain)))
+        rep = rep_matrices(reps.ladder_rep(AlgebraLabel.noncompact(k, l), len(chain)))
         sel = np.ix_(chain, chain)
         worst = max(worst, float(np.abs(noncompact_ops.qp[sel] - rep.qp).max()),
                     float(np.abs(noncompact_ops.q0[sel] - rep.q0).max()))
@@ -107,7 +107,7 @@ def test_criterion_3_realization_equivalence():
             k = F(twok, 2)
             label = AlgebraLabel.compact(k, (k + step) / 2)
             bands, _ = diffreal.band_elements(diffreal.build_realization("compactQ", label))
-            rep = reps.compact_rep(label)
+            rep = reps.ladder_rep(label)
             exact_ok &= all(bands["qp"][n] == rep.qp_sq[n]
                             for n in range(rep.dim - 1))
             exact_ok &= all(bands["q0"][n] == diffreal.signed_square(rep.q0_diag[n])
@@ -136,7 +136,7 @@ def test_criterion_5_coherent_states():
         label = AlgebraLabel.noncompact(k, l)
         for alpha in (0.5, 1 + 1j, 3.0):
             state = coherent.bg_state(label, alpha)
-            rep = reps.noncompact_rep(label, state.truncation)
+            rep = reps.ladder_rep(label, state.truncation)
             resid = float(np.linalg.norm(rep_matrices(rep).qm @ state.coeffs - alpha * state.coeffs)
                           / abs(alpha))
             worst_resid = max(worst_resid, resid)
@@ -197,7 +197,7 @@ def test_criterion_7_deformed_oscillator():
     for twok in range(1, 9):
         for step in range(0, 9):                      # 2l-k <= 8
             k = F(twok, 2)
-            osc = defosc.deform(reps.compact_rep(AlgebraLabel.compact(k, (k + step) / 2)))
+            osc = defosc.deform(reps.ladder_rep(AlgebraLabel.compact(k, (k + step) / 2)))
             worst = max(worst, max(defosc.commutator_residuals(osc).values()))
     _report(7, "fermion check exact; oscillator commutator contract <= 1e-10",
             fermion.passed and worst <= 1e-10, f"worst {worst:.2e}")

@@ -151,14 +151,13 @@ DIFFCHECK_AT_SIZE = {
 @pytest.mark.parametrize("kind", list(DIFFCHECK_AT_SIZE))
 def test_diffcheck_detects_a_moved_square(capsys, monkeypatch, kind, size, shift):
     # one squared raising entry of the matrices, in the middle of the band, moved by shift
-    for name in ("su2_rep", "su11_rep", "compact_rep", "noncompact_rep"):
-        def moved(*args, build=getattr(reps, name)):
-            rep = build(*args)
-            squares = list(rep.qp_sq)
-            squares[len(squares) // 2] += shift
-            return dataclasses.replace(rep, qp_sq=tuple(squares))
+    def moved(*args, build=reps.ladder_rep):
+        rep = build(*args)
+        squares = list(rep.qp_sq)
+        squares[len(squares) // 2] += shift
+        return dataclasses.replace(rep, qp_sq=tuple(squares))
 
-        monkeypatch.setattr(reps, name, moved)
+    monkeypatch.setattr(reps, "ladder_rep", moved)
     code, out, _ = run(capsys, "diffcheck", f"--kind={kind}", *DIFFCHECK_AT_SIZE[kind](size))
     doc = json.loads(out)
     assert doc["size"] == size and doc["off_diagonal_clean"] is True
@@ -257,6 +256,14 @@ def test_measure_kummer(capsys):
     doc = json.loads(out)
     assert doc["analytic"] == 1.5
     assert doc["rel_error"] <= 1e-8
+
+
+def test_measure_kummer_where_the_asymptotic_2f0_grows_first(capsys):
+    # a(a-c+1)/x > 1 at the first nodes past x = 80: M(a; c; -x) comes from the series
+    code, out, _ = run(capsys, "measure", "--check=kummer", "--a=8.919283741933771",
+                       "--b=3.9247335914814125", "--c=0.744110656039257")
+    assert code == 0
+    assert json.loads(out)["rel_error"] <= 1e-6
 
 
 def test_measure_kummer_invalid_exits_2(capsys):

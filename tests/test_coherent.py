@@ -11,7 +11,6 @@ from quadalg import reps
 from quadalg.cli import main
 from quadalg.coherent import (
     bg_state,
-    bg_overlap_series,
     compact_norm_sq_formula,
     perelomov_compact,
     perelomov_noncompact,
@@ -160,7 +159,7 @@ def test_bg_state_cube_factorial_coefficients():
 def test_bg_eigen_residual(k, l, alpha):
     label = AlgebraLabel.noncompact(k, l)
     state = bg_state(label, alpha)
-    rep = reps.noncompact_rep(label, state.truncation)
+    rep = reps.ladder_rep(label, state.truncation)
     resid = np.linalg.norm(rep_matrices(rep).qm @ state.coeffs - alpha * state.coeffs) / abs(alpha)
     assert resid <= 1e-8
 
@@ -171,7 +170,7 @@ def test_bg_residual_decreases_with_dim():
     resids = []
     for dim in range(6, 26, 2):
         state = bg_state(label, alpha, dim=dim, tail_rel=1.0)
-        qm = rep_matrices(reps.noncompact_rep(label, dim)).qm
+        qm = rep_matrices(reps.ladder_rep(label, dim)).qm
         resids.append(np.linalg.norm(qm @ state.coeffs - alpha * state.coeffs) / alpha)
     above_noise = [r for r in resids if r > 1e-13]
     assert all(a > b for a, b in zip(above_noise, above_noise[1:]))
@@ -182,6 +181,22 @@ def test_bg_truncation_guard():
     label = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
     with pytest.raises(TruncationError):
         bg_state(label, 3.0, dim=4)
+
+
+def bg_overlap_series(label: AlgebraLabel, alpha: complex, alpha2: complex,
+                      tol: float = 1e-15) -> complex:
+    """Overlap of two lowering-eigenstates via the gamma-form series.
+
+    <alpha|alpha2> = 0F2(conj(alpha)*alpha2) / sqrt(0F2(|alpha|^2) *
+    0F2(|alpha2|^2)); an independent route to the coefficient dot product.
+    """
+    k = float(label.k)
+    s = label.step
+    ser = series_0f2(2 * k, s + 1)
+    num = hypergeom(ser, complex(alpha).conjugate() * complex(alpha2), tol=tol).value
+    d1 = hypergeom(ser, abs(alpha) ** 2, tol=tol).value
+    d2 = hypergeom(ser, abs(alpha2) ** 2, tol=tol).value
+    return num / math.sqrt(d1 * d2)
 
 
 def test_bg_overlap_two_routes():

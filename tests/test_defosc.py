@@ -14,7 +14,7 @@ from dense_oracle import rep_matrices
 
 
 def test_deform_k1_l1():
-    osc = deform(reps.compact_rep(AlgebraLabel.compact(1, 1)))
+    osc = deform(reps.ladder_rep(AlgebraLabel.compact(1, 1)))
     assert osc.scale_sq == 2
     assert osc.f_poly == RationalPoly([1, F(-1, 2), F(-3, 2)])
     assert max(commutator_residuals(osc).values()) == 0.0
@@ -23,17 +23,17 @@ def test_deform_k1_l1():
 def test_f_at_zero_is_one():
     for twok, step in [(1, 0), (1, 3), (2, 2), (3, 5), (5, 1)]:
         k = F(twok, 2)
-        osc = deform(reps.compact_rep(AlgebraLabel.compact(k, (k + step) / 2)))
+        osc = deform(reps.ladder_rep(AlgebraLabel.compact(k, (k + step) / 2)))
         assert osc.f_poly(0) == 1
 
 
 def test_scale_sq_half_quarter():
-    osc = deform(reps.compact_rep(AlgebraLabel.compact(F(1, 2), F(1, 4))))
+    osc = deform(reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(1, 4))))
     assert osc.scale_sq == F(1, 16)
 
 
 def test_deform_rejects_noncompact():
-    rep = reps.noncompact_rep(AlgebraLabel.noncompact(1, F(1, 2)), 5)
+    rep = reps.ladder_rep(AlgebraLabel.noncompact(1, F(1, 2)), 5)
     with pytest.raises(ValueError):
         deform(rep)
 
@@ -41,7 +41,7 @@ def test_deform_rejects_noncompact():
 def test_lowest_vector_annihilated_exactly():
     for twok, step in [(1, 2), (2, 4), (4, 3)]:
         k = F(twok, 2)
-        rep = reps.compact_rep(AlgebraLabel.compact(k, (k + step) / 2))
+        rep = reps.ladder_rep(AlgebraLabel.compact(k, (k + step) / 2))
         osc = deform(rep)
         a_mat = np.diag(osc.lowering, 1)
         assert np.array_equal(a_mat, rep_matrices(rep).qm / osc.scale)
@@ -53,7 +53,7 @@ def test_commutator_contract_grid():
     for twok in range(1, 9):
         for step in range(0, 9):
             k = F(twok, 2)
-            osc = deform(reps.compact_rep(AlgebraLabel.compact(k, (k + step) / 2)))
+            osc = deform(reps.ladder_rep(AlgebraLabel.compact(k, (k + step) / 2)))
             assert max(commutator_residuals(osc).values()) <= 1e-10
 
 

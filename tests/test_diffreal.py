@@ -101,7 +101,7 @@ def _noncompact_labels():
 def test_exact_equivalence_with_matrices_compact():
     for label in _compact_labels(10):
         real = build_realization("compactQ", label)
-        rep = reps.compact_rep(label)
+        rep = reps.ladder_rep(label)
         bands, _ = band_elements(real)
         for n in range(rep.dim):
             assert bands["q0"][n] == signed_square(rep.q0_diag[n])
@@ -113,7 +113,7 @@ def test_exact_equivalence_with_matrices_compact():
 def test_exact_equivalence_with_matrices_noncompact():
     for label in _noncompact_labels():
         real = build_realization("noncompactQ", label, size=10)
-        rep = reps.noncompact_rep(label, 10)
+        rep = reps.ladder_rep(label, 10)
         bands, _ = band_elements(real)
         for n in range(9):
             assert bands["qp"][n] == rep.qp_sq[n]
@@ -126,7 +126,7 @@ def test_exact_equivalence_su2_su11():
     for twoj in range(0, 8):
         j = F(twoj, 2)
         real = build_realization("su2", j)
-        rep = reps.su2_rep(j)
+        rep = reps.ladder_rep(reps.Su2Label(j))
         bands, _ = band_elements(real)
         for n in range(rep.dim - 1):
             assert bands["qp"][n] == rep.qp_sq[n]
@@ -135,7 +135,7 @@ def test_exact_equivalence_su2_su11():
     for twok in range(1, 7):
         k = F(twok, 2)
         real = build_realization("su11", k, size=9)
-        rep = reps.su11_rep(k, 9)
+        rep = reps.ladder_rep(reps.Su11Label(k), 9)
         bands, _ = band_elements(real)
         for n in range(8):
             assert bands["qp"][n] == rep.qp_sq[n]
@@ -168,12 +168,7 @@ def test_commutator_reproduces_structure_poly():
              ("su11", F(3, 2), 6)]
     for kind, label, size in cases:
         real = build_realization(kind, label, size)
-        if kind in ("compactQ", "noncompactQ"):
-            rep = (reps.compact_rep(label) if kind == "compactQ"
-                   else reps.noncompact_rep(label, size))
-        else:
-            rep = reps.su2_rep(label) if kind == "su2" else reps.su11_rep(label, size)
-        f = reps.structure_poly(rep)
+        f = reps.structure_poly(real.basis.label)
         for n in range(min(real.basis.size, 6)):
             mono = RationalPoly.monomial(n)
             lhs = commutator_apply(real.qp, real.qm, mono)

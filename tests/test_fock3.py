@@ -179,7 +179,7 @@ def test_block_diagonality(compact888):
 def test_compact_matches_closed_form_rep(compact888, k, l):
     ops = realized_matrices(compact888)
     label = reps.AlgebraLabel.compact(k, l)
-    rep = dense_oracle.rep_matrices(reps.compact_rep(label))
+    rep = dense_oracle.rep_matrices(reps.ladder_rep(label))
     chains = fock3.eigenspace_states(compact888, k, l)
     assert len(chains) == (1 if k == F(1, 2) else 2)
     for chain in chains:
@@ -201,7 +201,7 @@ def test_noncompact_matches_closed_form_rep(noncompact888):
     chains = fock3.eigenspace_states(noncompact888, label.k, label.l)
     assert chains
     chain = chains[0]
-    rep = dense_oracle.rep_matrices(reps.noncompact_rep(label, len(chain)))
+    rep = dense_oracle.rep_matrices(reps.ladder_rep(label, len(chain)))
     sel = np.ix_(chain, chain)
     assert np.abs(ops.qp[sel] - rep.qp).max() <= 1e-12
     assert np.abs(ops.q0[sel] - rep.q0).max() <= 1e-12
@@ -238,6 +238,25 @@ def test_per_state_formulas_equal_dense_oracle(ops):
         assert rendered.lmat is None
     else:
         assert np.array_equal(rendered.lmat, dense.lmat)
+
+
+# The expected [raising, lowering] per state as ``fock3.SECTORS`` typed it, one
+# float lambda per sector, before it was read from ``reps.ALGEBRAS``.
+OLD_STRUCTURE = {
+    "compact": lambda q0, k, l: (3 * q0 * q0 + (2 * l - 1) * q0) + (k - l * (l + 1)),
+    "noncompact": lambda q0, k, l: (-3 * q0 * q0 - (2 * l + 1) * q0) - (k - l * (l - 1)),
+    "su2": lambda q0, k, l: 2.0 * q0,
+    "su11": lambda q0, k, l: -2.0 * q0,
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(realizations())
+@example(fock3.realize("su2", FockSpace((25, 25))))
+def test_expected_commutator_bits_equal_the_typed_lambdas(ops):
+    got = fock3.expected_commutator(ops)
+    want = OLD_STRUCTURE[ops.sector](ops.q0_diag, ops.k_diag, ops.l_diag)
+    assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
 
 
 def test_interior_mask_closed_form():

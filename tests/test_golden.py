@@ -25,6 +25,10 @@ d = 2048 ``rep`` JSON digests were recorded from the dense
 The wide ``spectrum`` windows were recorded while ``brute_force_count``
 still walked every (n1, n2) pair and every ``parts`` item was a dict.
 
+The four ``rep``/``casimir`` digests of the noncompact label (1/2,
+-100000000000000001/4), whose diagonal passes 2^53, were recorded while each
+sector still had its own constructor with typed closed-form squares.
+
 The nine ``--help`` texts are pinned too, at a fixed ``COLUMNS`` (argparse
 wraps to the terminal width).
 """
@@ -374,6 +378,15 @@ GOLDEN = {
         (0, "c3edd37d8e00cd2fc7c755a155595deda7f837cd261a560bc6daf0cc9923bc96"),
     "rep --sector=su2 --j=2047/2 --format=json":
         (0, "fa912f7d458b167bbc72a739701c33229837370160d2c55f02024228f5e6d8eb"),
+    # |q0| > 2^53: each diagonal entry is its own rounded Fraction, not float(q0_0) + n
+    "rep --sector=noncompact --k=1/2 --l=-100000000000000001/4 --dim=4 --format=json":
+        (0, "f828133654d57fb022bb268a425e43dc10a007dff78131542487a39b641a575e"),
+    "rep --sector=noncompact --k=1/2 --l=-100000000000000001/4 --dim=4 --format=csv":
+        (0, "ee8e1a9efac236e9e21951c0599becce903b3caadf9c392c649912cdb98a019d"),
+    "casimir --sector=noncompact --k=1/2 --l=-100000000000000001/4 --dim=4 --format=json":
+        (0, "c8db88a64a36fff1a95e9beba44be5109b45700f6975ac38ed9376ac99e835d2"),
+    "casimir --sector=noncompact --k=1/2 --l=-100000000000000001/4 --dim=4 --format=csv":
+        (0, "1c59b0887105d2fd35a75e9a71834a09e922ff90b580809eebc11ed475b7543c"),
 }
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadalg import measures
@@ -19,7 +19,7 @@ from quadalg.measures import (
     verify_compact_resolution,
 )
 from quadalg.reps import AlgebraLabel
-from quadalg.special import confluent_neg, is_nonpos_int, termination_index
+from quadalg.special import _sum_2f0, confluent_neg, is_nonpos_int, termination_index
 
 from dense_oracle import rising
 
@@ -181,14 +181,52 @@ def _ref_confluent_neg(a, c, x):
     return math.exp(-x) * tot
 
 
+def _asymptotic_2f0_settles(a, c, x):
+    """Whether the 2F0 of the x > 80 branch terminates or reaches a term below ulp(sum)/4."""
+    b = a - c + 1
+    total, _, exact, _, omitted = _sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)),
+                                           value_only=True)
+    return exact or omitted < 0.25 * math.ulp(total)
+
+
 @settings(max_examples=1500, deadline=None)
 @given(a=st.floats(0.5, 25.0, exclude_min=True), c=st.floats(0.5, 30.0, exclude_min=True),
        x=st.floats(0.0, 1e6) | st.floats(80.0, 2000.0))
 @example(a=7.5, c=3.2, x=164.2)       # kummer --a 7.5 --b 2.5 --c 3.2: non-integer c - a < 0
 @example(a=4.0, c=9.0, x=81.0)        # c - a = 5: the 2F0 terminates
-@example(a=22.0, c=17.7, x=81.0)
 def test_confluent_neg_bits_equal_the_full_asymptotic_sum(a, c, x):
-    assert confluent_neg(a, c, x).hex() == _ref_confluent_neg(a, c, x).hex()
+    # where the old 2F0 only reached its optimal truncation (its terms grew first) below
+    # x = 700, the series answers instead: see the mpmath property below
+    if (x <= _REF_ASYMPTOTIC_SWITCH or x >= 700.0 or is_nonpos_int(c - a)
+            or _asymptotic_2f0_settles(a, c, x)):
+        assert confluent_neg(a, c, x).hex() == _ref_confluent_neg(a, c, x).hex()
+
+
+def _abs_term_sum(a, c, x):
+    """e^(-x) times the sum of the |terms| of M(c-a; c; x): the scale of the series' rounding."""
+    p, term, total = c - a, 1.0, 1.0
+    for m in range(100000):
+        term *= abs((p + m) * x / ((c + m) * (m + 1)))
+        total += term
+        if term < 1e-17 * total:
+            break
+    return math.exp(-x) * total
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(a=st.floats(0.5, 25.0, exclude_min=True), c=st.floats(0.5, 30.0, exclude_min=True),
+       x=st.floats(80.0, 700.0, exclude_min=True))
+@example(a=22.0, c=17.7, x=81.0)      # the optimally truncated 2F0 was off by 0.83 here
+@example(a=8.919283741933771, c=0.744110656039257, x=80.1)  # and by 0.69 here (kummer)
+def test_confluent_neg_series_fallback_against_mpmath(a, c, x):
+    assume(not is_nonpos_int(c - a) and not _asymptotic_2f0_settles(a, c, x))
+    ref = mp.hyp1f1(a, c, -x)
+    rel = float(abs((confluent_neg(a, c, x) - ref) / ref))
+    # the series loses what its cancelling terms cost, and next to an integer c - a the
+    # rounding of c - a moves the part of the sum that vanishes at that integer
+    p = c - a
+    cond = _abs_term_sum(a, c, x) / abs(float(ref)) * max(1.0, abs(p) / abs(p - round(p)))
+    assert rel <= 1e-12 * cond
 
 
 def _count_confluent_calls(monkeypatch) -> list:

@@ -35,17 +35,17 @@ def test_label_validation():
 
 
 def test_compact_k1_l1():
-    rep = reps.compact_rep(AlgebraLabel.compact(1, 1))
+    rep = reps.ladder_rep(AlgebraLabel.compact(1, 1))
     m = dense_oracle.rep_matrices(rep)
     assert rep.dim == 2
     assert np.array_equal(np.diag(m.q0), [0.0, 1.0])
     assert m.qp[1, 0] == math.sqrt(2)
     assert rep.qp_sq == (F(2),)
-    assert rep.kval == 0 and rep.lval == 1
+    assert rep.label.kval == 0 and rep.label.l == 1
 
 
 def test_compact_one_dimensional():
-    rep = reps.compact_rep(AlgebraLabel.compact(F(1, 2), F(1, 4)))
+    rep = reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(1, 4)))
     m = dense_oracle.rep_matrices(rep)
     assert rep.dim == 1
     assert np.array_equal(np.diag(m.q0), [0.25])
@@ -53,7 +53,7 @@ def test_compact_one_dimensional():
 
 
 def test_compact_half_fivequarter_subdiagonal():
-    rep = reps.compact_rep(AlgebraLabel.compact(F(1, 2), F(5, 4)))
+    rep = reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(5, 4)))
     assert rep.dim == 3
     assert rep.qp_sq == (F(2), F(4))
     qp = dense_oracle.rep_matrices(rep).qp
@@ -61,7 +61,7 @@ def test_compact_half_fivequarter_subdiagonal():
 
 
 def test_noncompact_half_quarter():
-    rep = reps.noncompact_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 4)
+    rep = reps.ladder_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 4)
     # ladder squares (n+1)^3, diagonal n + 1/4
     assert rep.qp_sq == (F(1), F(8), F(27))
     m = dense_oracle.rep_matrices(rep)
@@ -73,17 +73,17 @@ def test_noncompact_half_quarter():
 
 
 def test_su2_reps():
-    half = reps.su2_rep(F(1, 2))
+    half = reps.ladder_rep(reps.Su2Label(F(1, 2)))
     assert half.dim == 2 and dense_oracle.rep_matrices(half).qp[1, 0] == 1.0
-    zero = reps.su2_rep(0)
+    zero = reps.ladder_rep(reps.Su2Label(0))
     m = dense_oracle.rep_matrices(zero)
     assert zero.dim == 1 and not np.any(m.qp) and not np.any(m.q0)
     with pytest.raises(InvalidLabelError):
-        reps.su2_rep(F(1, 3))
+        reps.ladder_rep(reps.Su2Label(F(1, 3)))
 
 
 def test_su11_rep():
-    rep = reps.su11_rep(F(1, 2), 3)
+    rep = reps.ladder_rep(reps.Su11Label(F(1, 2)), 3)
     assert rep.qp_sq == (F(1), F(4))
     m = dense_oracle.rep_matrices(rep)
     np.testing.assert_allclose([m.qp[1, 0], m.qp[2, 1]], [1.0, 2.0], rtol=0, atol=0)
@@ -91,17 +91,17 @@ def test_su11_rep():
 
 
 def test_two_dim_family():
-    rep = reps.two_dim_family(F(1, 2))
+    rep = dense_oracle.two_dim_family(F(1, 2))
     m = dense_oracle.rep_matrices(rep)
     assert np.array_equal(np.diag(m.q0), [-0.25, 0.75])
     assert m.qp[1, 0] == 1.0
-    rep2 = reps.two_dim_family(2)
+    rep2 = dense_oracle.two_dim_family(2)
     assert dense_oracle.rep_matrices(rep2).qp[1, 0] == 2.0
-    assert reps.casimir_scalar_exact(rep2.label) == F(-25, 8)
+    assert dense_oracle.casimir_scalar_exact(rep2.label) == F(-25, 8)
     # elementwise identity with the compact constructor, any k
     for twok in range(1, 8):
-        fam = reps.two_dim_family(F(twok, 2))
-        direct = dense_oracle.rep_matrices(reps.compact_rep(fam.label))
+        fam = dense_oracle.two_dim_family(F(twok, 2))
+        direct = dense_oracle.rep_matrices(reps.ladder_rep(fam.label))
         fam = dense_oracle.rep_matrices(fam)
         assert np.array_equal(fam.qp, direct.qp)
         assert np.array_equal(fam.q0, direct.q0)
@@ -112,23 +112,23 @@ def test_two_dim_family_casimir_closed_form():
     for twok in range(1, 11):
         k = F(twok, 2)
         expected = (-3 * k ** 3 - 5 * k ** 2 + 11 * k - 3) / 8
-        assert reps.casimir_scalar_exact(reps.two_dim_family(k).label) == expected
+        assert dense_oracle.casimir_scalar_exact(dense_oracle.two_dim_family(k).label) == expected
 
 
 def test_two_dim_family_inequivalence():
-    values = [reps.casimir_scalar_exact(reps.two_dim_family(F(t, 2)).label)
+    values = [dense_oracle.casimir_scalar_exact(dense_oracle.two_dim_family(F(t, 2)).label)
               for t in range(1, 11)]
     assert len(set(values)) == len(values)
 
 
 def test_casimir_compact_values():
-    rep = reps.compact_rep(AlgebraLabel.compact(1, 1))
+    rep = reps.ladder_rep(AlgebraLabel.compact(1, 1))
     rc = reps.casimir_value(rep)
     assert rc.exact_value == 0 and rc.reference_value == 0
     assert abs(rc.value) < 1e-12 and rc.max_deviation < 1e-12
     assert rc.matches_reference
 
-    rep1 = reps.compact_rep(AlgebraLabel.compact(F(1, 2), F(1, 4)))
+    rep1 = reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(1, 4)))
     rc1 = reps.casimir_value(rep1)
     closed = F(1, 64) + F(5, 4) * (F(1, 4) - 1) + 1
     assert rc1.reference_value == closed == F(5, 64)
@@ -137,7 +137,7 @@ def test_casimir_compact_values():
 
 
 def test_casimir_noncompact_reports_both_values():
-    rep = reps.noncompact_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 8)
+    rep = reps.ladder_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 8)
     rc = reps.casimir_value(rep)
     # antiderivative convention gives -1/64; the reference closed form l(l-k^2)
     # gives 0; they disagree and both must be visible
@@ -157,7 +157,7 @@ def _compact_labels(max_step=10, max_twok=10):
 
 def test_exact_squared_entries_compact():
     for label in _compact_labels(max_step=9, max_twok=6):
-        rep = reps.compact_rep(label)
+        rep = reps.ladder_rep(label)
         k, l = label.k, label.l
         qp = dense_oracle.rep_matrices(rep).qp
         for n, sq in enumerate(rep.qp_sq):
@@ -165,21 +165,44 @@ def test_exact_squared_entries_compact():
             assert qp[n + 1, n] == math.sqrt(float(sq))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(reps.ALGEBRAS)), st.integers(1, 40),
+       st.integers(0, 60) | st.integers(0, 10 ** 20), st.integers(1, 64))
+@example("noncompact", 1, 50000000000000001, 4)  # |q0| > 2^53: q0 = 25000000000000000.75 + n
+def test_ladder_rep_equals_the_factored_closed_forms(sector, twok, step, d):
+    k = F(twok, 2)
+    if sector == "su2":
+        label = reps.Su2Label(F(d - 1, 2))
+    elif sector == "su11":
+        label = reps.Su11Label(k)
+    elif sector == "compact":
+        label = AlgebraLabel.compact(k, (k + d - 1) / 2)
+    else:
+        label = AlgebraLabel.noncompact(k, (k - step) / 2)
+    rep = reps.ladder_rep(label, d)
+    assert rep.dim == d
+    assert rep.qp_sq == tuple(dense_oracle.closed_form_squares(label, d))
+    assert rep.q0_diag == tuple(dense_oracle.closed_form_diagonal(label, d))
+    assert rep.diag.tolist() == [float(x) for x in rep.q0_diag]
+    assert rep.raising.tolist() == [math.sqrt(s) for s in rep.qp_sq]
+    assert rep.truncated is not reps.ALGEBRAS[sector].finite
+
+
 def test_defining_relations_grid():
     for label in _compact_labels(max_step=8, max_twok=6):
-        resid = reps.defining_relation_residuals(reps.compact_rep(label))
+        resid = dense_oracle.band_relation_residuals(reps.ladder_rep(label))
         assert max(resid.values()) < 1e-12
     for twok in range(1, 7):
         for step in range(0, 5):
             k = F(twok, 2)
             label = AlgebraLabel.noncompact(k, (k - step) / 2)
-            resid = reps.defining_relation_residuals(reps.noncompact_rep(label, 24))
+            resid = dense_oracle.band_relation_residuals(reps.ladder_rep(label, 24))
             assert max(resid.values()) < 1e-10
 
 
 def test_casimir_scalar_on_grid():
     for label in _compact_labels(max_step=6, max_twok=5):
-        rc = reps.casimir_value(reps.compact_rep(label))
+        rc = reps.casimir_value(reps.ladder_rep(label))
         assert rc.max_deviation < 1e-10
         assert rc.matches_reference  # compact closed form equals the recipe
 
@@ -190,7 +213,7 @@ def test_compact_label_roundtrip(twok, step):
     k = F(twok, 2)
     label = AlgebraLabel.compact(k, (k + step) / 2)
     assert label.dim == step + 1
-    rep = reps.compact_rep(label)
+    rep = reps.ladder_rep(label)
     assert rep.dim == step + 1
     # lowering is exactly the transpose of raising
     m = dense_oracle.rep_matrices(rep)
@@ -198,7 +221,7 @@ def test_compact_label_roundtrip(twok, step):
 
 
 def test_serialization_schema():
-    rep = reps.noncompact_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 3)
+    rep = reps.ladder_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 3)
     # qp/qm are pre-rendered JSON, so the schema is read from the written document
     doc = json.loads(json_dumps(reps.rep_to_dict(rep)))
     assert list(doc)[:3] == ["sector", "k", "l"]
@@ -210,7 +233,7 @@ def test_serialization_schema():
     assert doc["casimir"]["reference"] == "0"
     assert doc["casimir"]["matches_reference"] is False
 
-    doc2 = reps.rep_to_dict(reps.su2_rep(1))
+    doc2 = reps.rep_to_dict(reps.ladder_rep(reps.Su2Label(1)))
     assert doc2["sector"] == "su2" and doc2["j"] == "1"
 
 
@@ -221,25 +244,25 @@ def ladder_reps(draw):
     sector = draw(st.sampled_from(["compact", "noncompact", "su2", "su11"]))
     k = F(draw(st.integers(1, 12)), 2)
     if sector == "compact":
-        return reps.compact_rep(AlgebraLabel.compact(k, (k + d - 1) / 2))
+        return reps.ladder_rep(AlgebraLabel.compact(k, (k + d - 1) / 2))
     if sector == "noncompact":
         step = draw(st.integers(0, 12))
-        return reps.noncompact_rep(AlgebraLabel.noncompact(k, (k - step) / 2), d)
+        return reps.ladder_rep(AlgebraLabel.noncompact(k, (k - step) / 2), d)
     if sector == "su2":
-        return reps.su2_rep(F(d - 1, 2))
-    return reps.su11_rep(k, d)
+        return reps.ladder_rep(reps.Su2Label(F(d - 1, 2)))
+    return reps.ladder_rep(reps.Su11Label(k), d)
 
 
 @settings(max_examples=150, deadline=None)
 @given(ladder_reps())
-@example(reps.compact_rep(AlgebraLabel.compact(F(1, 2), F(1, 4))))
-@example(reps.noncompact_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 1))
-@example(reps.noncompact_rep(AlgebraLabel.noncompact(F(3, 2), F(-1, 4)), 2))
+@example(reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(1, 4))))
+@example(reps.ladder_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 1))
+@example(reps.ladder_rep(AlgebraLabel.noncompact(F(3, 2), F(-1, 4)), 2))
 def test_band_formulas_equal_dense_oracle(rep):
     # bit-identical, not approximately equal: the dense products only add exact zeros
     rc = reps.casimir_value(rep)
     assert (rc.value, rc.max_deviation) == dense_oracle.casimir_value(rep)
-    assert reps.defining_relation_residuals(rep) == dense_oracle.defining_relation_residuals(rep)
+    assert dense_oracle.band_relation_residuals(rep) == dense_oracle.defining_relation_residuals(rep)
     if isinstance(rep.label, AlgebraLabel) and rep.label.sector == "compact":
         osc = defosc.deform(rep)
         assert defosc.commutator_residuals(osc) == dense_oracle.commutator_residuals(rep, osc)
@@ -247,8 +270,8 @@ def test_band_formulas_equal_dense_oracle(rep):
 
 @settings(max_examples=150, deadline=None)
 @given(ladder_reps())
-@example(reps.compact_rep(AlgebraLabel.compact(F(1, 2), F(1, 4))))
-@example(reps.su2_rep(F(1, 2)))
+@example(reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(1, 4))))
+@example(reps.ladder_rep(reps.Su2Label(F(1, 2))))
 def test_band_json_equals_dense_oracle(rep):
     # the oracle's dense matrices, serialized element by element
     qp, qm = dense_oracle.rep_ladder_matrices(rep)
