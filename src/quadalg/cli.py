@@ -18,7 +18,8 @@ The environment variable QUADALG_MAX_DIM (default 4096) caps every
 dimension a label or option fixes: truncation dimensions, the dimension of
 compact and su2 representations, the number of Fock states of ``verify``,
 the levels 0..--to of ``spectrum`` and the moments 0..--max-n of
-``measure``.  A request past the cap exits 2 before anything is built.
+``measure``.  A request past the cap exits 2 before anything is built, and
+so does a ``--dim``/``--size`` other than the dimension a label fixes.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ from .output import JSONFragment, json_dumps, write_csv
 
 DEFAULT_MAX_DIM = 4096
 DIFF_SECTORS = {"su2": "su2", "su11": "su11", "compactQ": "compact", "noncompactQ": "noncompact"}
-# one piece of a spectrum level as a JSON object and as a CSV field
-_PART_JSON = '{{"k": "{0.k}", "dim": {0.dim}, "multiplicity": {0.multiplicity}}}'.format
-_PART_CSV = "{0.k}:{0.dim}:{0.multiplicity}".format
 
 
 def _max_dim() -> int:
@@ -95,6 +93,12 @@ def _cutoffs(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _fraction_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, with no Fraction built."""
+    g = math.gcd(num, den)
+    return f"{num // g}" if g == den else f"{num // g}/{den // g}"
+
+
 def _check_dim(dim: int, what: str = "dimension") -> int:
     cap = _max_dim()
     if dim > cap:
@@ -127,10 +131,14 @@ def _label(args, sector: str) -> reps.AnyLabel:
     return label
 
 
-def _build_rep(args, sector: str, dim: int | None, default_dim: int) -> reps.Representation:
-    """The representation the label options fix, truncated to ``dim`` if infinite."""
-    label = _label(args, sector)
+def _build_rep(args, sector: str, option: str, default_dim: int) -> reps.Representation:
+    """The representation the label options fix: an infinite one truncated to ``--option``
+    states, a finite one of the label's dimension, which ``--option`` may only repeat."""
+    label, dim = _label(args, sector), getattr(args, option)
     if reps.ALGEBRAS[sector].finite:
+        if dim is not None and dim != label.dim:
+            raise InvalidLabelError(f"--{option} {dim} differs from the dimension {label.dim} "
+                                    f"that the {sector} label fixes")
         return reps.ladder_rep(label)
     return reps.ladder_rep(label, _check_dim(default_dim if dim is None else dim))
 
@@ -145,14 +153,14 @@ def _fields(doc: dict, code: int):
 
 
 def _cmd_rep(args):
-    rep = _build_rep(args, args.sector, args.dim, 8 if args.sector == "su11" else 16)
+    rep = _build_rep(args, args.sector, "dim", 8 if args.sector == "su11" else 16)
     doc = reps.rep_to_dict(rep) if args.format == "json" else None
     rows = zip(range(rep.dim), rep.diag.tolist(), rep.raising.tolist() + [0.0])
     return doc, (("n", "q0", "raise_to_next"), rows), 0
 
 
 def _cmd_casimir(args):
-    rep = _build_rep(args, args.sector, args.dim, 8 if args.sector == "su11" else 16)
+    rep = _build_rep(args, args.sector, "dim", 8 if args.sector == "su11" else 16)
     report = reps.casimir_value(rep)
     doc = reps.label_fields(rep)
     doc["structure_coeffs"] = [str(c) for c in reps.structure_poly(rep.label).coeffs]
@@ -185,11 +193,13 @@ def _cmd_verify(args):
 
 
 def _cmd_diffcheck(args):
-    rep = _build_rep(args, DIFF_SECTORS[args.kind], args.size, 8)
+    rep = _build_rep(args, DIFF_SECTORS[args.kind], "size", 8)
     real = diffreal.build_realization(args.kind, rep.label, rep.dim if rep.truncated else None)
     bands, off_diag_clean = diffreal.band_elements(real)
+    # sign(x) x^2 of a reduced p/q is the reduced p|p|/q^2
     agree = {
-        "q0": bands["q0"] == tuple(diffreal.signed_square(x) for x in rep.q0_diag),
+        "q0": [(x.numerator, x.denominator) for x in bands["q0"]]
+        == [(x.numerator * abs(x.numerator), x.denominator ** 2) for x in rep.q0_diag],
         "qp": bands["qp"] == rep.qp_sq,
         "qm": bands["qm"] == rep.qp_sq,
     }
@@ -277,21 +287,26 @@ def _cmd_spectrum(args):
         raise InvalidLabelError("need 0 <= --from <= --to")
     _check_dim(args.to + 1, "level count")
     reports = [spectrum.level_report(n) for n in range(args.from_, args.to + 1)]
+    # the text of every label k = 2k/2 the window's pieces can carry
+    k_text = [_fraction_text(twok, 2) for twok in range(args.to + 2)]
     doc = (
         {
-            "N": r.N, "l": str(r.l),
+            "N": r.N, "l": _fraction_text(r.N + 1, 4),
             "degeneracy": {"reptheory": r.degeneracy_reptheory,
                            "formula": r.degeneracy_formula,
                            "bruteforce": r.degeneracy_bruteforce},
             "partitions": {"reptheory": r.partitions_reptheory,
                            "formula": r.partitions_formula,
                            "bruteforce": r.partitions_bruteforce},
-            "parts": JSONFragment("[" + ", ".join(map(_PART_JSON, r.parts)) + "]"),
+            "parts": JSONFragment("[" + ", ".join([
+                f'{{"k": "{k_text[twok]}", "dim": {dim}, "multiplicity": {mult}}}'
+                for twok, dim, mult in spectrum.level_parts(r.N)]) + "]"),
             "consistent": r.consistent,
         }
         for r in reports
     )
-    rows = ((r.N, r.degeneracy_formula, r.partitions_formula, ";".join(map(_PART_CSV, r.parts)))
+    rows = ((r.N, r.degeneracy_formula, r.partitions_formula, ";".join(
+        [f"{k_text[twok]}:{dim}:{mult}" for twok, dim, mult in spectrum.level_parts(r.N)]))
             for r in reports)
     code = 0 if all(r.consistent for r in reports) else 3
     return doc, (("N", "degeneracy", "partitions", "parts"), rows), code

@@ -5,9 +5,9 @@ norms N_n; the generators are differential operators of order at most three
 with rational polynomial coefficients.  A term c z^j d^i/dz^i maps z^n to
 c n!/(n-i)! z^(n-i+j), so a generator's image of a monomial is a few
 monomials, and its matrix elements follow in closed form on the band in
-O(size).  They come out as sign-carrying squared rationals, so the
-equivalence with the closed-form matrices can be asserted with no tolerance
-at all.
+O(size), in integers over one common denominator per generator.  They come
+out as sign-carrying squared rationals, so the equivalence with the
+closed-form matrices can be asserted with no tolerance at all.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import BasisSpanError, InvalidLabelError
 from .polyalg import RationalPoly, as_fraction
@@ -136,16 +136,15 @@ def build_realization(kind: str, label, size: Optional[int] = None) -> DiffReali
     raise ValueError(f"unknown realization kind {kind!r}")
 
 
-def _image(op: DiffOp, n: int) -> dict[int, Fraction]:
-    """Coefficients of op(z^n) by power: c z^j d^i/dz^i maps z^n to c n!/(n-i)! z^(n-i+j)."""
-    out: dict[int, Fraction] = {}
-    for order, coeff in op.terms:
+def _image(terms: list[tuple[int, int, int]], n: int) -> dict[int, int]:
+    """Numerators of op(z^n) by power, for op given by its terms (i, j, C) over one
+    denominator D: (C/D) z^j d^i/dz^i maps z^n to (C/D) n!/(n-i)! z^(n-i+j)."""
+    out: dict[int, int] = {}
+    for order, j, c in terms:
         fall = math.perm(n, order)
         if fall:
-            for j, c in enumerate(coeff.coeffs):
-                if c:
-                    power = n - order + j
-                    out[power] = out.get(power, 0) + c * fall
+            power = n - order + j
+            out[power] = out.get(power, 0) + c * fall
     return out
 
 
@@ -160,16 +159,24 @@ def band_elements(real: DiffRealization) -> tuple[dict[str, tuple[Fraction, ...]
     element (n, n+1).  The verdict is false if any image has a non-zero
     coefficient off the band.  Raises :class:`BasisSpanError` if an image
     leaves the span, except for the raising overflow out of a truncated
-    basis, which is dropped to mirror the matrix truncation.
+    basis, which is dropped to mirror the matrix truncation.  Each generator
+    is scaled to integer coefficients C over one denominator D, so every
+    element is built once, as the rational sign(C) C^2 N_m / (D^2 N_n).
     """
-    basis = real.basis
-    size, ratios = basis.size, basis.norm_ratios
+    basis, size = real.basis, real.basis.size
     bands: dict[str, tuple[Fraction, ...]] = {}
     clean = True
-    for (name, op), offset in zip(real.generators.items(), (0, 1, -1)):
+    nums = [r.numerator for r in basis.norm_ratios]
+    dens = [r.denominator for r in basis.norm_ratios]
+    # N_m / N_n on each band: 1, N_(n+1)/N_n = ratios[n], N_n/N_(n+1) = 1/ratios[n]
+    scales = (([1] * size,) * 2, (nums, dens), (dens, nums))
+    for (name, op), offset, (up, down) in zip(real.generators.items(), (0, 1, -1), scales):
+        den = math.lcm(*(c.denominator for _, coeff in op.terms for c in coeff.coeffs))
+        terms = [(order, j, c.numerator * (den // c.denominator))
+                 for order, coeff in op.terms for j, c in enumerate(coeff.coeffs) if c]
         band = [Fraction(0)] * (size - abs(offset))
         for n in range(size):
-            for power, c in _image(op, n).items():
+            for power, c in _image(terms, n).items():
                 if c == 0:
                     continue
                 if power >= size:
@@ -179,17 +186,8 @@ def band_elements(real: DiffRealization) -> tuple[dict[str, tuple[Fraction, ...]
                         f"{name} maps basis function {n} onto z^{power}, outside the span")
                 if power != n + offset:
                     clean = False
-                elif offset == 0:
-                    band[n] = signed_square(c)
-                elif offset == 1:
-                    band[n] = signed_square(c) * ratios[n]
-                else:
-                    band[power] = signed_square(c) / ratios[power]
+                else:  # element (power, n) sits at band index min(n, power)
+                    i = min(n, power)
+                    band[i] = Fraction(c * abs(c) * up[i], den * den * down[i])
         bands[name] = tuple(band)
     return bands, clean
-
-
-def signed_square(x: Union[int, Fraction]) -> Fraction:
-    """sign(x) * x^2 as an exact rational, for comparisons against tables."""
-    x = as_fraction(x)
-    return x * x if x >= 0 else -(x * x)

@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import polyalg
 from .reps import ALGEBRAS
 
 
@@ -213,28 +212,3 @@ def verify_realization(ops: RealizedOperators) -> RealizationReport:
     if ops.l_diag is not None:
         residuals["k_l"] = resid(comm(ops.k_diag, s, ops.l_diag[s]))
     return RealizationReport(ops.sector, ops.space.dim, len(s), ops.space.dim - len(s), residuals)
-
-
-def eigenspace_states(ops: RealizedOperators, k, l) -> list[list[int]]:
-    """Ordered chains of basis indices carrying the (k, l) representation.
-
-    Chains are returned lowest weight first; for k > 1/2 there are two (the
-    two occupation assignments related by swapping the first two modes), for
-    k = 1/2 one.
-    """
-    k, l = polyalg.as_fraction(k), polyalg.as_fraction(l)
-    delta = int(2 * k - 1)
-    compact = ops.sector == "compact"
-    step = 2 * l - k if compact else k - 2 * l
-    if step < 0 or step.denominator != 1:
-        return []
-    # (n, n + delta, n3) for n = 0, 1, ... up to the top state or the edge of the box
-    n = np.arange(int(step) + 1 if compact else max(ops.space.cutoffs) + 2)
-    n3 = int(step) - n if compact else n + int(step)
-    chains = []
-    for pair in ((n, n + delta), (n + delta, n))[:2 if delta else 1]:
-        rows = ops.space.row(np.stack([*pair, n3], axis=1))
-        chain = rows[np.logical_and.accumulate(rows >= 0)].tolist()
-        if chain:
-            chains.append(chain)
-    return chains

@@ -8,16 +8,17 @@ the compositions n1 + n2 + 2*n3 = N, enumerating n3 and counting the
 (n1, n2) pairs of each line directly, in O(N) per level.  Dropping the
 doubling (respectively, identifying n1 <-> n2) counts partitions instead.
 Integer arithmetic throughout; the brute force is the ground-truth oracle.
+A level's pieces are described once, as the integer triples (2k, dim,
+multiplicity) of :func:`level_parts`: the counts sum them, the CLI renders
+them, and a :class:`LevelPart` with a rational k is built only on demand.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-# one Fraction per label k = twok/2, shared by all the levels of a window
-_half = lru_cache(maxsize=8192)(lambda twok: Fraction(twok, 2))
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,7 +36,6 @@ class DegeneracyReport:
 
     N: int
     l: Fraction
-    parts: tuple[LevelPart, ...]
     degeneracy_reptheory: int
     degeneracy_formula: int
     degeneracy_bruteforce: int
@@ -44,13 +44,17 @@ class DegeneracyReport:
     partitions_bruteforce: int
 
     @property
+    def parts(self) -> tuple[LevelPart, ...]:
+        return decompose_level(self.N)
+
+    @property
     def consistent(self) -> bool:
         return (self.degeneracy_reptheory == self.degeneracy_formula == self.degeneracy_bruteforce
                 and self.partitions_reptheory == self.partitions_formula == self.partitions_bruteforce)
 
 
-def decompose_level(N: int) -> tuple[LevelPart, ...]:
-    """All compact irreducible pieces compatible with l = (N+1)/4.
+def level_parts(N: int) -> Iterator[tuple[int, int, int]]:
+    """All compact irreducible pieces compatible with l = (N+1)/4, as (2k, dim, multiplicity).
 
     k runs over the positive half-integers with 2l - k a non-negative
     integer; each piece has dimension 2l - k + 1 and multiplicity 2 unless
@@ -59,10 +63,16 @@ def decompose_level(N: int) -> tuple[LevelPart, ...]:
     if N < 0:
         raise ValueError("level index must be >= 0")
     # 2l - k = (N + 1 - 2k)/2 is an integer when 2k has the parity of N + 1,
-    # and non-negative up to 2k = N + 1
-    return tuple(LevelPart(k=_half(twok), dim=(N + 1 - twok) // 2 + 1,
-                           multiplicity=1 if twok == 1 else 2)
-                 for twok in range(2 - (N + 1) % 2, N + 2, 2))
+    # and non-negative up to 2k = N + 1: the dimension falls by one as 2k
+    # climbs by two, and only a first piece at 2k = 1 has multiplicity 1
+    first = 2 - (N + 1) % 2
+    return zip(range(first, N + 2, 2), range((N + 1 - first) // 2 + 1, 0, -1),
+               itertools.chain((1 if first == 1 else 2,), itertools.repeat(2)))
+
+
+def decompose_level(N: int) -> tuple[LevelPart, ...]:
+    """The pieces of :func:`level_parts` with their labels k as exact rationals."""
+    return tuple(LevelPart(Fraction(twok, 2), dim, mult) for twok, dim, mult in level_parts(N))
 
 
 def degeneracy_formula(N: int) -> int:
@@ -84,9 +94,7 @@ def partition_formula(N: int) -> int:
     if N < 0:
         raise ValueError("level index must be >= 0")
     m, r = divmod(N, 4)
-    if r in (0, 1):
-        return (m + 1) * (2 * m + 1)
-    return (m + 1) * (2 * m + 3)
+    return (m + 1) * (2 * m + 1 if r < 2 else 2 * m + 3)
 
 
 def brute_force_count(N: int, ordered: bool) -> int:
@@ -104,15 +112,17 @@ def brute_force_count(N: int, ordered: bool) -> int:
 
 def level_report(N: int) -> DegeneracyReport:
     """Assemble all six counts for one level."""
-    parts = decompose_level(N)
+    degeneracy = partitions = 0
+    for _, dim, multiplicity in level_parts(N):
+        degeneracy += dim * multiplicity
+        partitions += dim
     return DegeneracyReport(
         N=N,
         l=Fraction(N + 1, 4),
-        parts=parts,
-        degeneracy_reptheory=sum(p.dim * p.multiplicity for p in parts),
+        degeneracy_reptheory=degeneracy,
         degeneracy_formula=degeneracy_formula(N),
         degeneracy_bruteforce=brute_force_count(N, ordered=True),
-        partitions_reptheory=sum(p.dim for p in parts),
+        partitions_reptheory=partitions,
         partitions_formula=partition_formula(N),
         partitions_bruteforce=brute_force_count(N, ordered=False),
     )

@@ -11,19 +11,25 @@ per-state data densely for the tests.  ``rising`` is the rising factorial
 the moment ratios were once built from, term by term.  The factored ladder
 squares of each sector, which ``reps`` once typed per constructor, are the
 oracle for the squares ``reps.ladder_rep`` derives from the structure
-polynomial; the band residuals, the 2-dimensional family and the exact
-Casimir scalar are helpers whose only callers are tests.
+polynomial; the band residuals, the 2-dimensional family, the exact
+Casimir scalar and ``eigenspace_states`` (the Fock chains that carry one
+ladder representation) are helpers whose only callers are tests.
+``band_elements`` is the Fraction band routine of ``diffreal`` from before
+its elements were computed in integers, and ``signed_square`` its helper.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Union
 
 import numpy as np
 from scipy import sparse
 
 from quadalg import reps
+from quadalg.diffreal import DiffOp, DiffRealization
+from quadalg.fock3 import RealizedOperators
 from quadalg.errors import BasisSpanError
 from quadalg.polyalg import CasimirPoly, RationalPoly, as_fraction
 
@@ -371,3 +377,94 @@ def matrix_elements(real):
                 table[power][n] = sign * c * c * norms[power] / norms[n]
         tables[name] = table
     return tables
+
+
+def eigenspace_states(ops: RealizedOperators, k, l) -> list[list[int]]:
+    """Ordered chains of basis indices carrying the (k, l) representation.
+
+    Chains are returned lowest weight first; for k > 1/2 there are two (the
+    two occupation assignments related by swapping the first two modes), for
+    k = 1/2 one.
+    """
+    k, l = as_fraction(k), as_fraction(l)
+    delta = int(2 * k - 1)
+    compact = ops.sector == "compact"
+    step = 2 * l - k if compact else k - 2 * l
+    if step < 0 or step.denominator != 1:
+        return []
+    # (n, n + delta, n3) for n = 0, 1, ... up to the top state or the edge of the box
+    n = np.arange(int(step) + 1 if compact else max(ops.space.cutoffs) + 2)
+    n3 = int(step) - n if compact else n + int(step)
+    chains = []
+    for pair in ((n, n + delta), (n + delta, n))[:2 if delta else 1]:
+        rows = ops.space.row(np.stack([*pair, n3], axis=1))
+        chain = rows[np.logical_and.accumulate(rows >= 0)].tolist()
+        if chain:
+            chains.append(chain)
+    return chains
+
+
+# ---------------------------------------------------------------------------
+# The band routine of ``diffreal`` in Fraction arithmetic, as it was before
+# each generator was scaled to integers over one common denominator: a
+# Fraction image per monomial and about six Fraction operations per element.
+# Kept verbatim as the oracle of the integer routine.
+
+
+def signed_square(x: Union[int, Fraction]) -> Fraction:
+    """sign(x) * x^2 as an exact rational, for comparisons against tables."""
+    x = as_fraction(x)
+    return x * x if x >= 0 else -(x * x)
+
+
+def _image(op: DiffOp, n: int) -> dict[int, Fraction]:
+    """Coefficients of op(z^n) by power: c z^j d^i/dz^i maps z^n to c n!/(n-i)! z^(n-i+j)."""
+    out: dict[int, Fraction] = {}
+    for order, coeff in op.terms:
+        fall = math.perm(n, order)
+        if fall:
+            for j, c in enumerate(coeff.coeffs):
+                if c:
+                    power = n - order + j
+                    out[power] = out.get(power, 0) + c * fall
+    return out
+
+
+def band_elements(real: DiffRealization) -> tuple[dict[str, tuple[Fraction, ...]], bool]:
+    """Signed squared matrix elements of each generator on the band, and the off-band verdict.
+
+    Element (m, n) is sign(c) * c^2 * N_m / N_n for the coefficient c of the
+    m-th basis function in the image of the n-th; elements of these
+    realizations are square roots of rationals, so this representation is
+    exact.  In the layout of :class:`~quadalg.reps.Representation`,
+    ``q0[n]`` is element (n, n), ``qp[n]`` element (n+1, n) and ``qm[n]``
+    element (n, n+1).  The verdict is false if any image has a non-zero
+    coefficient off the band.  Raises :class:`BasisSpanError` if an image
+    leaves the span, except for the raising overflow out of a truncated
+    basis, which is dropped to mirror the matrix truncation.
+    """
+    basis = real.basis
+    size, ratios = basis.size, basis.norm_ratios
+    bands: dict[str, tuple[Fraction, ...]] = {}
+    clean = True
+    for (name, op), offset in zip(real.generators.items(), (0, 1, -1)):
+        band = [Fraction(0)] * (size - abs(offset))
+        for n in range(size):
+            for power, c in _image(op, n).items():
+                if c == 0:
+                    continue
+                if power >= size:
+                    if basis.truncated and name == "qp" and n == size - 1 and power == size:
+                        continue
+                    raise BasisSpanError(
+                        f"{name} maps basis function {n} onto z^{power}, outside the span")
+                if power != n + offset:
+                    clean = False
+                elif offset == 0:
+                    band[n] = signed_square(c)
+                elif offset == 1:
+                    band[n] = signed_square(c) * ratios[n]
+                else:
+                    band[power] = signed_square(c) / ratios[power]
+        bands[name] = tuple(band)
+    return bands, clean

@@ -14,8 +14,8 @@ import pytest
 from quadalg import coherent, defosc, diffreal, fock3, measures, reps, spectrum
 from quadalg.reps import AlgebraLabel
 
-from dense_oracle import (band_relation_residuals, casimir_scalar_exact, realized_matrices,
-                          rep_matrices, two_dim_family)
+from dense_oracle import (band_relation_residuals, casimir_scalar_exact, eigenspace_states,
+                          realized_matrices, rep_matrices, signed_square, two_dim_family)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -86,7 +86,7 @@ def test_criterion_3_realization_equivalence():
     for k, l in compact_labels:
         rep = reps.ladder_rep(AlgebraLabel.compact(k, l))
         m = rep_matrices(rep)
-        for chain in fock3.eigenspace_states(compact, k, l):
+        for chain in eigenspace_states(compact, k, l):
             assert len(chain) == rep.dim
             sel = np.ix_(chain, chain)
             for realized, closed in ((compact_ops.qp, m.qp), (compact_ops.qm, m.qm),
@@ -94,7 +94,7 @@ def test_criterion_3_realization_equivalence():
                 worst = max(worst, float(np.abs(realized[sel] - closed).max()))
         n_checked += 1
     for k, l in [(F(1, 2), F(1, 4)), (1, F(1, 2))]:
-        chain = fock3.eigenspace_states(noncompact, k, l)[0]
+        chain = eigenspace_states(noncompact, k, l)[0]
         rep = rep_matrices(reps.ladder_rep(AlgebraLabel.noncompact(k, l), len(chain)))
         sel = np.ix_(chain, chain)
         worst = max(worst, float(np.abs(noncompact_ops.qp[sel] - rep.qp).max()),
@@ -110,7 +110,7 @@ def test_criterion_3_realization_equivalence():
             rep = reps.ladder_rep(label)
             exact_ok &= all(bands["qp"][n] == rep.qp_sq[n]
                             for n in range(rep.dim - 1))
-            exact_ok &= all(bands["q0"][n] == diffreal.signed_square(rep.q0_diag[n])
+            exact_ok &= all(bands["q0"][n] == signed_square(rep.q0_diag[n])
                             for n in range(rep.dim))
     _report(3, "fock/matrix equivalence (1e-12, 10 labels) and exact symbolic elements",
             n_checked == 10 and worst <= 1e-12 and exact_ok,

@@ -465,6 +465,29 @@ def test_max_dim_cap_applies_to_label_dimensions(capsys, monkeypatch, argv):
     assert "QUADALG_MAX_DIM" in err
 
 
+# a size option on a label that fixes the dimension: (argv, the label's dimension)
+FINITE_SIZED = {
+    "rep-compact": (("rep", "--sector=compact", "--k=1", "--l=1", "--dim=5"), 2),
+    "casimir-compact": (("casimir", "--sector=compact", "--k=1/2", "--l=9/4", "--dim=4"), 5),
+    "rep-su2": (("rep", "--sector=su2", "--j=3/2", "--dim=3"), 4),
+    "casimir-su2": (("casimir", "--sector=su2", "--j=0", "--dim=16"), 1),
+    "diffcheck-compactQ": (("diffcheck", "--kind=compactQ", "--k=1", "--l=1", "--size=5"), 2),
+    "diffcheck-su2": (("diffcheck", "--kind=su2", "--j=7/2", "--size=0"), 8),
+}
+
+
+@pytest.mark.parametrize("argv, dim", list(FINITE_SIZED.values()), ids=list(FINITE_SIZED))
+def test_size_option_other_than_the_label_dimension_exits_2(capsys, argv, dim):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"dimension {dim} " in err
+    # the same option repeating the label's dimension is accepted
+    option = argv[-1].split("=")[0]
+    code, out, _ = run(capsys, *argv[:-1], f"{option}={dim}")
+    assert code == 0 and out == run(capsys, *argv[:-1])[1]
+
+
 # valid and invalid labels; sizes stay small (dims <= 40, cutoffs <= 3, levels <= 10,
 # --max-n <= 8) so that every generated request finishes in milliseconds
 LABELS = ["0", "1/4", "1/2", "1/3", "3/4", "1", "3/2", "9/4", "5/2", "41/4", "-1/4"]

@@ -12,7 +12,7 @@ from quadalg import fock3, reps
 from quadalg.fock3 import FockSpace
 
 import dense_oracle
-from dense_oracle import ladder_matrices, realized_matrices
+from dense_oracle import eigenspace_states, ladder_matrices, realized_matrices
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,7 @@ def test_compact_matches_closed_form_rep(compact888, k, l):
     ops = realized_matrices(compact888)
     label = reps.AlgebraLabel.compact(k, l)
     rep = dense_oracle.rep_matrices(reps.ladder_rep(label))
-    chains = fock3.eigenspace_states(compact888, k, l)
+    chains = eigenspace_states(compact888, k, l)
     assert len(chains) == (1 if k == F(1, 2) else 2)
     for chain in chains:
         assert len(chain) == label.dim
@@ -198,7 +198,7 @@ def test_compact_matches_closed_form_rep(compact888, k, l):
 def test_noncompact_matches_closed_form_rep(noncompact888):
     ops = realized_matrices(noncompact888)
     label = reps.AlgebraLabel.noncompact(F(1, 2), F(1, 4))
-    chains = fock3.eigenspace_states(noncompact888, label.k, label.l)
+    chains = eigenspace_states(noncompact888, label.k, label.l)
     assert chains
     chain = chains[0]
     rep = dense_oracle.rep_matrices(reps.ladder_rep(label, len(chain)))

@@ -23,7 +23,11 @@ cannot move the sum; the first ``kummer`` case reaches that 2F0 (R = 164).  The 
 d = 2048 ``rep`` JSON digests were recorded from the dense
 ``tolist()`` serialization of ``qp``/``qm``, which ``rep`` no longer builds.
 The wide ``spectrum`` windows were recorded while ``brute_force_count``
-still walked every (n1, n2) pair and every ``parts`` item was a dict.
+still walked every (n1, n2) pair and every ``parts`` item was a dict.  The
+largest shapes of the benchmark's ``exact`` deck (``diffcheck`` at size 120
+in all four kinds, ``spectrum`` over 1990..2000) were recorded while the
+band elements were built in Fraction arithmetic and every level piece was a
+``LevelPart`` rendered through ``Fraction.__str__``.
 
 The four ``rep``/``casimir`` digests of the noncompact label (1/2,
 -100000000000000001/4), whose diagonal passes 2^53, were recorded while each
@@ -322,6 +326,27 @@ GOLDEN = {
         (0, "eb455113b3b76816bfbce05ab7375a6003d68ec8c5a39b64b8c8e008278afbfa"),
     "spectrum --from=1000 --to=1010 --format=csv":
         (0, "68f700f2c19cfd9297de78ca63e6526df91012a703a884839ce5f97ee6f47312"),
+    # the largest shapes of the benchmark's exact deck: size 120 in every kind, and N near 2000
+    "diffcheck --kind=su2 --j=119/2 --format=json":
+        (0, "eb6afd082ecb965c872e6796b9b784395be84e466213745ec4e956f9432d0449"),
+    "diffcheck --kind=su2 --j=119/2 --format=csv":
+        (0, "75b22fbbf7b0f5982ef3bd19c39e91c83a95ffefd1590727d08db94919cf427f"),
+    "diffcheck --kind=su11 --k=7/2 --size=120 --format=json":
+        (0, "09090a0ba900df1409d6608ecd28fddb9c669c0e373c3ec611a38a2695149e5a"),
+    "diffcheck --kind=su11 --k=7/2 --size=120 --format=csv":
+        (0, "75b22fbbf7b0f5982ef3bd19c39e91c83a95ffefd1590727d08db94919cf427f"),
+    "diffcheck --kind=compactQ --k=5/2 --l=243/4 --format=json":
+        (0, "530c9e99c973c6ab778222b7b9332476aa78df265d455fc4bf1491d5d01cd820"),
+    "diffcheck --kind=compactQ --k=5/2 --l=243/4 --format=csv":
+        (0, "75b22fbbf7b0f5982ef3bd19c39e91c83a95ffefd1590727d08db94919cf427f"),
+    "diffcheck --kind=noncompactQ --k=5/2 --l=3/4 --size=120 --format=json":
+        (0, "236620ad7104a8fa5a143fd710b32829c1dec178f2afe6ed5e6db62b4d06f7fb"),
+    "diffcheck --kind=noncompactQ --k=5/2 --l=3/4 --size=120 --format=csv":
+        (0, "75b22fbbf7b0f5982ef3bd19c39e91c83a95ffefd1590727d08db94919cf427f"),
+    "spectrum --from=1990 --to=2000 --format=json":
+        (0, "03f567cad788f6714f9d1dbdc2279820d60db3fa11bb222ab9569765c3d484db"),
+    "spectrum --from=1990 --to=2000 --format=csv":
+        (0, "aa4fc32a6f6f78dff00d6cf90511b2f91a2e83a3def13d056c80b08a44b1f6ae"),
     "measure --check=kummer --a=3 --b=1 --c=2 --format=json":
         (0, "dc8cc1632576c383db96e6c89db7c5bedcb47dfc0012d9af6ea6a0178049e43b"),
     "measure --check=kummer --a=3 --b=1 --c=2 --format=csv":

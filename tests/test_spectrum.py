@@ -1,12 +1,18 @@
 """Degeneracy and partition counting for the 1:1:2 oscillator."""
 
+import io
+import types
+from dataclasses import dataclass, fields
+from fractions import Fraction
 from fractions import Fraction as F
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from quadalg import fock3, spectrum
 from quadalg.cli import main
+from quadalg.output import JSONFragment, json_dumps, write_csv
 from quadalg.spectrum import (
     LevelPart,
     brute_force_count,
@@ -129,3 +135,142 @@ def test_csv_export(capsys):
     assert lines[1] == "0,1,1,1/2:1:1"
     assert lines[2] == "1,2,1,1:1:2"
     assert lines[3] == "2,4,3,1/2:2:1;3/2:1:2"
+
+
+def _global_names(code: types.CodeType) -> set:
+    """Every name a function's code (nested comprehensions included) reads by name."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _global_names(const)
+    return names
+
+
+def test_brute_force_shares_no_helper_with_the_decomposition():
+    # the oracle reads only builtins: no spectrum helper, so none the decomposition uses
+    helpers = set(vars(spectrum))
+    assert not _global_names(brute_force_count.__code__) & helpers
+    decomposition = (_global_names(spectrum.level_parts.__code__)
+                     | _global_names(decompose_level.__code__))
+    assert "brute_force_count" not in decomposition
+
+
+# ---------------------------------------------------------------------------
+# The decomposition, the report and the ``parts`` templates as they were when
+# every piece was a LevelPart and its text came from ``Fraction.__str__``,
+# copied verbatim (the report class and the functions renamed).
+
+# one Fraction per label k = twok/2, shared by all the levels of a window
+_half = lru_cache(maxsize=8192)(lambda twok: Fraction(twok, 2))
+
+
+@dataclass
+class FractionReport:
+    """Per-level decomposition with the three counts of each kind."""
+
+    N: int
+    l: Fraction
+    parts: tuple[LevelPart, ...]
+    degeneracy_reptheory: int
+    degeneracy_formula: int
+    degeneracy_bruteforce: int
+    partitions_reptheory: int
+    partitions_formula: int
+    partitions_bruteforce: int
+
+    @property
+    def consistent(self) -> bool:
+        return (self.degeneracy_reptheory == self.degeneracy_formula == self.degeneracy_bruteforce
+                and self.partitions_reptheory == self.partitions_formula == self.partitions_bruteforce)
+
+
+def fraction_decompose_level(N: int) -> tuple[LevelPart, ...]:
+    """All compact irreducible pieces compatible with l = (N+1)/4.
+
+    k runs over the positive half-integers with 2l - k a non-negative
+    integer; each piece has dimension 2l - k + 1 and multiplicity 2 unless
+    k = 1/2 (where the two basis choices coincide).
+    """
+    if N < 0:
+        raise ValueError("level index must be >= 0")
+    # 2l - k = (N + 1 - 2k)/2 is an integer when 2k has the parity of N + 1,
+    # and non-negative up to 2k = N + 1
+    return tuple(LevelPart(k=_half(twok), dim=(N + 1 - twok) // 2 + 1,
+                           multiplicity=1 if twok == 1 else 2)
+                 for twok in range(2 - (N + 1) % 2, N + 2, 2))
+
+
+def fraction_level_report(N: int) -> FractionReport:
+    """Assemble all six counts for one level."""
+    parts = fraction_decompose_level(N)
+    return FractionReport(
+        N=N,
+        l=Fraction(N + 1, 4),
+        parts=parts,
+        degeneracy_reptheory=sum(p.dim * p.multiplicity for p in parts),
+        degeneracy_formula=degeneracy_formula(N),
+        degeneracy_bruteforce=brute_force_count(N, ordered=True),
+        partitions_reptheory=sum(p.dim for p in parts),
+        partitions_formula=partition_formula(N),
+        partitions_bruteforce=brute_force_count(N, ordered=False),
+    )
+
+
+# one piece of a spectrum level as a JSON object and as a CSV field
+_PART_JSON = '{{"k": "{0.k}", "dim": {0.dim}, "multiplicity": {0.multiplicity}}}'.format
+_PART_CSV = "{0.k}:{0.dim}:{0.multiplicity}".format
+
+
+def fraction_spectrum(reports):
+    """The JSON document and CSV rows of ``spectrum`` over ``reports``."""
+    doc = (
+        {
+            "N": r.N, "l": str(r.l),
+            "degeneracy": {"reptheory": r.degeneracy_reptheory,
+                           "formula": r.degeneracy_formula,
+                           "bruteforce": r.degeneracy_bruteforce},
+            "partitions": {"reptheory": r.partitions_reptheory,
+                           "formula": r.partitions_formula,
+                           "bruteforce": r.partitions_bruteforce},
+            "parts": JSONFragment("[" + ", ".join(map(_PART_JSON, r.parts)) + "]"),
+            "consistent": r.consistent,
+        }
+        for r in reports
+    )
+    rows = ((r.N, r.degeneracy_formula, r.partitions_formula, ";".join(map(_PART_CSV, r.parts)))
+            for r in reports)
+    return doc, rows
+
+
+LEVELS = range(1501)
+
+
+@pytest.fixture(scope="module")
+def fraction_reports():
+    return [fraction_level_report(n) for n in LEVELS]
+
+
+def test_decomposition_and_report_equal_the_fraction_copy(fraction_reports):
+    for old in fraction_reports:
+        assert decompose_level(old.N) == old.parts
+        new = level_report(old.N)
+        for field in fields(old):
+            assert getattr(new, field.name) == getattr(old, field.name), (old.N, field.name)
+        assert new.consistent and old.consistent
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_rendered_levels_equal_the_fraction_copy(capsys, fraction_reports, fmt):
+    assert main(["spectrum", f"--from={LEVELS[0]}", f"--to={LEVELS[-1]}", f"--format={fmt}"]) == 0
+    out = capsys.readouterr().out
+    doc, rows = fraction_spectrum(fraction_reports)
+    if fmt == "json":
+        want = json_dumps(doc) + "\n"
+    else:
+        buf = io.StringIO()
+        write_csv(buf, ("N", "degeneracy", "partitions", "parts"), rows)
+        want = buf.getvalue()
+    if out != want:
+        first = next((i for i, (a, b) in enumerate(zip(out, want)) if a != b),
+                     min(len(out), len(want)))
+        pytest.fail(f"stdout differs from the copy from character {first} on")
