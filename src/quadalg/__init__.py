@@ -38,7 +38,7 @@ from .measures import (
     perelomov_moment_targets,
     verify_compact_resolution,
 )
-from .spectrum import DegeneracyReport, brute_force_count, decompose_level, degeneracy_formula, level_report, partition_formula
+from .spectrum import DegeneracyReport, brute_force_count, degeneracy_formula, level_parts, level_report, partition_formula
 from .defosc import DeformedOscillator, deform, fermion_check
 
 __version__ = "0.1.0"

@@ -19,7 +19,9 @@ dimension a label or option fixes: truncation dimensions, the dimension of
 compact and su2 representations, the number of Fock states of ``verify``,
 the levels 0..--to of ``spectrum`` and the moments 0..--max-n of
 ``measure``.  A request past the cap exits 2 before anything is built, and
-so does a ``--dim``/``--size`` other than the dimension a label fixes.
+so does a size option other than the dimension a label fixes: ``--dim`` of
+``rep``, ``casimir`` and ``coherent`` or ``--size`` of ``diffcheck`` on a
+compact or su2 label.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import InvalidLabelError, NumericalToleranceError
 from .output import JSONFragment, json_dumps, write_csv
 
 DEFAULT_MAX_DIM = 4096
+REP_DIM = {"su11": 8}  # the default truncation of an infinite ``rep``/``casimir`` label
 DIFF_SECTORS = {"su2": "su2", "su11": "su11", "compactQ": "compact", "noncompactQ": "noncompact"}
 
 
@@ -131,16 +134,17 @@ def _label(args, sector: str) -> reps.AnyLabel:
     return label
 
 
-def _build_rep(args, sector: str, option: str, default_dim: int) -> reps.Representation:
-    """The representation the label options fix: an infinite one truncated to ``--option``
-    states, a finite one of the label's dimension, which ``--option`` may only repeat."""
+def _sized_label(args, sector: str, option: str, default: int | None) -> tuple:
+    """The label the options fix and its dimension: a finite label's own, which ``--option``
+    may only repeat, else ``--option`` or ``default`` under the cap (None if both are)."""
     label, dim = _label(args, sector), getattr(args, option)
     if reps.ALGEBRAS[sector].finite:
         if dim is not None and dim != label.dim:
             raise InvalidLabelError(f"--{option} {dim} differs from the dimension {label.dim} "
                                     f"that the {sector} label fixes")
-        return reps.ladder_rep(label)
-    return reps.ladder_rep(label, _check_dim(default_dim if dim is None else dim))
+        return label, label.dim
+    dim = default if dim is None else dim
+    return label, None if dim is None else _check_dim(dim)
 
 
 def _fields(doc: dict, code: int):
@@ -153,14 +157,14 @@ def _fields(doc: dict, code: int):
 
 
 def _cmd_rep(args):
-    rep = _build_rep(args, args.sector, "dim", 8 if args.sector == "su11" else 16)
+    rep = reps.ladder_rep(*_sized_label(args, args.sector, "dim", REP_DIM.get(args.sector, 16)))
     doc = reps.rep_to_dict(rep) if args.format == "json" else None
     rows = zip(range(rep.dim), rep.diag.tolist(), rep.raising.tolist() + [0.0])
     return doc, (("n", "q0", "raise_to_next"), rows), 0
 
 
 def _cmd_casimir(args):
-    rep = _build_rep(args, args.sector, "dim", 8 if args.sector == "su11" else 16)
+    rep = reps.ladder_rep(*_sized_label(args, args.sector, "dim", REP_DIM.get(args.sector, 16)))
     report = reps.casimir_value(rep)
     doc = reps.label_fields(rep)
     doc["structure_coeffs"] = [str(c) for c in reps.structure_poly(rep.label).coeffs]
@@ -193,7 +197,7 @@ def _cmd_verify(args):
 
 
 def _cmd_diffcheck(args):
-    rep = _build_rep(args, DIFF_SECTORS[args.kind], "size", 8)
+    rep = reps.ladder_rep(*_sized_label(args, DIFF_SECTORS[args.kind], "size", 8))
     real = diffreal.build_realization(args.kind, rep.label, rep.dim if rep.truncated else None)
     bands, off_diag_clean = diffreal.band_elements(real)
     # sign(x) x^2 of a reduced p/q is the reduced p|p|/q^2
@@ -216,10 +220,10 @@ def _cmd_diffcheck(args):
 
 
 def _cmd_coherent(args):
-    label = _label(args, "compact" if args.family == "perelomov-c" else "noncompact")
+    label, dim = _sized_label(args, "compact" if args.family == "perelomov-c" else "noncompact",
+                              "dim", 16 if args.family == "perelomov-nc" else None)
     extra = {}
     if args.family == "bg":
-        dim = None if args.dim is None else _check_dim(args.dim)
         state = coherent.bg_state(label, args.param, dim=dim, max_dim=_max_dim())
         rep = reps.ladder_rep(label, state.truncation)
         # |qm c - param c|, relative to |param| unless it is 0; (qm c)[n] = raising[n] c[n+1]
@@ -227,8 +231,7 @@ def _cmd_coherent(args):
         resid = np.linalg.norm(lowered - args.param * state.coeffs) / (abs(args.param) or 1.0)
         extra["eigen_residual"] = float(resid)
     elif args.family == "perelomov-nc":
-        state = coherent.perelomov_noncompact(label, args.param,
-                                              _check_dim(16 if args.dim is None else args.dim))
+        state = coherent.perelomov_noncompact(label, args.param, dim)
     else:
         state = coherent.perelomov_compact(label, args.param,
                                            form="gamma" if args.gamma_form else "alpha")
@@ -338,6 +341,58 @@ def _cmd_deform(args):
 
 
 # ---------------------------------------------------------------------------
+# The command table: each subcommand's handler, help and options in ``--help`` order,
+# each option with its ``add_argument`` keywords; every subcommand also takes ``--format``.
+
+K, L, J = ((f"--{name}", {"type": _frac}) for name in "klj")  # the label options
+SECTOR = ("--sector", {"choices": tuple(reps.ALGEBRAS), "required": True})
+LADDER = (SECTOR, K, L, J, ("--dim", {"type": int}))
+TOL = ("--tol", {"type": _finite_float, "default": 1e-10})
+FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json"})
+
+COMMANDS = {
+    "rep": (_cmd_rep, "build a representation and print it", LADDER),
+    "casimir": (_cmd_casimir, "structure/Casimir polynomials and scalar value", LADDER),
+    "verify": (_cmd_verify, "verify a bosonic realization on a truncated Fock space", (
+        SECTOR,
+        ("--cutoffs", {"type": _cutoffs, "default": (8,),
+                       "help": "per-mode cutoffs, e.g. '8' or '8,8,8'"}),
+        TOL)),
+    "diffcheck": (_cmd_diffcheck, "differential realization vs matrix representation", (
+        ("--kind", {"choices": tuple(DIFF_SECTORS), "required": True}),
+        K, L, J,
+        ("--size", {"type": int}))),
+    "coherent": (_cmd_coherent, "coherent-state coefficients and normalization", (
+        ("--family", {"choices": ("bg", "perelomov-nc", "perelomov-c"), "required": True}),
+        *((flag, {**kwargs, "required": True}) for flag, kwargs in (K, L)),
+        ("--param", {"type": _complex, "required": True,
+                     "help": "state parameter, e.g. '0.5' or '1+1j'"}),
+        ("--dim", {"type": int}),
+        ("--gamma-form", {"action": "store_true",
+                          "help": "use the inverse-parameter form of the compact family"}))),
+    "measure": (_cmd_measure, "moment targets and resolution-of-identity checks", (
+        ("--check", {"choices": ("resolution", "kummer", "bg-moments", "perelomov-moments"),
+                     "default": "resolution"}),
+        K, L,
+        *((f"--{name}", {"type": _finite_float}) for name in "abc"),
+        ("--max-n", {"type": _count, "default": 5}),
+        ("--abs-tol", {"type": _finite_float, "default": 1e-9}),
+        ("--rel-tol", {"type": _finite_float, "default": 1e-8}),
+        ("--r-max", {"type": _finite_float}),
+        ("--tol", {"type": _finite_float, "default": 1e-6,
+                   "help": "acceptance threshold on deviations (exit 3 beyond)"}))),
+    "spectrum": (_cmd_spectrum, "level degeneracies and partition counts", (
+        ("--from", {"dest": "from_", "type": int, "required": True}),
+        ("--to", {"type": int, "required": True}))),
+    "deform": (_cmd_deform, "deformed-oscillator form of a compact representation", (
+        K, L,
+        ("--fermion", {"action": "store_true", "help": "run the canonical fermion check"}),
+        TOL)),
+}
+
+# ``--`` and the options that take no value: a number after one of them is not its value
+NO_VALUE = {"--", "--help"} | {flag for _, _, options in COMMANDS.values()
+                               for flag, kwargs in options if kwargs.get("action") == "store_true"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,78 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quadratic algebras from three bosonic modes: representations, "
                     "coherent states, measures, and oscillator degeneracies.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = []
-
-    def command(name, func, help):
+    for name, (func, help, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
-        commands.append(p)
-        return p
-
-    for name, func, help in (("rep", _cmd_rep, "build a representation and print it"),
-                             ("casimir", _cmd_casimir,
-                              "structure/Casimir polynomials and scalar value")):
-        p = command(name, func, help)
-        p.add_argument("--sector", choices=tuple(reps.ALGEBRAS), required=True)
-        p.add_argument("--k", type=_frac)
-        p.add_argument("--l", type=_frac)
-        p.add_argument("--j", type=_frac)
-        p.add_argument("--dim", type=int)
-
-    p = command("verify", _cmd_verify, "verify a bosonic realization on a truncated Fock space")
-    p.add_argument("--sector", choices=tuple(reps.ALGEBRAS), required=True)
-    p.add_argument("--cutoffs", type=_cutoffs, default=(8,),
-                   help="per-mode cutoffs, e.g. '8' or '8,8,8'")
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
-
-    p = command("diffcheck", _cmd_diffcheck, "differential realization vs matrix representation")
-    p.add_argument("--kind", choices=tuple(DIFF_SECTORS), required=True)
-    p.add_argument("--k", type=_frac)
-    p.add_argument("--l", type=_frac)
-    p.add_argument("--j", type=_frac)
-    p.add_argument("--size", type=int)
-
-    p = command("coherent", _cmd_coherent, "coherent-state coefficients and normalization")
-    p.add_argument("--family", choices=("bg", "perelomov-nc", "perelomov-c"), required=True)
-    p.add_argument("--k", type=_frac, required=True)
-    p.add_argument("--l", type=_frac, required=True)
-    p.add_argument("--param", type=_complex, required=True,
-                   help="state parameter, e.g. '0.5' or '1+1j'")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--gamma-form", action="store_true",
-                   help="use the inverse-parameter form of the compact family")
-
-    p = command("measure", _cmd_measure, "moment targets and resolution-of-identity checks")
-    p.add_argument("--check", choices=("resolution", "kummer", "bg-moments", "perelomov-moments"),
-                   default="resolution")
-    p.add_argument("--k", type=_frac)
-    p.add_argument("--l", type=_frac)
-    p.add_argument("--a", type=_finite_float)
-    p.add_argument("--b", type=_finite_float)
-    p.add_argument("--c", type=_finite_float)
-    p.add_argument("--max-n", type=_count, default=5)
-    p.add_argument("--abs-tol", type=_finite_float, default=1e-9)
-    p.add_argument("--rel-tol", type=_finite_float, default=1e-8)
-    p.add_argument("--r-max", type=_finite_float)
-    p.add_argument("--tol", type=_finite_float, default=1e-6,
-                   help="acceptance threshold on deviations (exit 3 beyond)")
-
-    p = command("spectrum", _cmd_spectrum, "level degeneracies and partition counts")
-    p.add_argument("--from", dest="from_", type=int, required=True)
-    p.add_argument("--to", type=int, required=True)
-
-    p = command("deform", _cmd_deform, "deformed-oscillator form of a compact representation")
-    p.add_argument("--k", type=_frac)
-    p.add_argument("--l", type=_frac)
-    p.add_argument("--fermion", action="store_true", help="run the canonical fermion check")
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
-
-    for p in commands:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        for flag, kwargs in (*options, FORMAT):
+            p.add_argument(flag, **kwargs)
     return parser
-
-
-FLAGS = ("--gamma-form", "--fermion", "--help")
 
 
 def _is_number(text: str) -> bool:
@@ -436,7 +425,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     for token in argv:
         if (out and token.startswith("-") and _is_number(token)
                 and out[-1].startswith("--") and "=" not in out[-1]
-                and out[-1] not in ("--", *FLAGS)):
+                and out[-1] not in NO_VALUE):
             out[-1] += "=" + token
         else:
             out.append(token)

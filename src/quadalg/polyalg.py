@@ -51,10 +51,6 @@ class RationalPoly:
     def zero(cls) -> "RationalPoly":
         return cls(())
 
-    @classmethod
-    def monomial(cls, power: int, coeff: Rat = 1) -> "RationalPoly":
-        return cls([0] * power + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree, with the convention degree(0) = -1."""

@@ -195,7 +195,7 @@ class Representation:
 
     label: AnyLabel
     dim: int
-    qp_sq: tuple[Fraction, ...]
+    qp_sq: tuple[int, ...]
     q0_diag: tuple[Fraction, ...]
     diag: np.ndarray
     raising: np.ndarray
@@ -235,7 +235,7 @@ def ladder_rep(label: AnyLabel, dim: Optional[int] = None) -> Representation:
     squares = list(itertools.islice(itertools.accumulate(steps), dim - 1))
     q0_diag = tuple(low + n for n in range(dim))
     return Representation(
-        label=label, dim=dim, qp_sq=tuple(map(Fraction, squares)), q0_diag=q0_diag,
+        label=label, dim=dim, qp_sq=tuple(squares), q0_diag=q0_diag,
         diag=np.array([float(x) for x in q0_diag]),
         raising=np.array([math.sqrt(s) for s in squares]),
         truncated=not algebra.finite, boundary_index=None if algebra.finite else dim - 1,

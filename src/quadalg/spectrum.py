@@ -9,8 +9,8 @@ the compositions n1 + n2 + 2*n3 = N, enumerating n3 and counting the
 doubling (respectively, identifying n1 <-> n2) counts partitions instead.
 Integer arithmetic throughout; the brute force is the ground-truth oracle.
 A level's pieces are described once, as the integer triples (2k, dim,
-multiplicity) of :func:`level_parts`: the counts sum them, the CLI renders
-them, and a :class:`LevelPart` with a rational k is built only on demand.
+multiplicity) of :func:`level_parts`: the counts sum them and the CLI
+renders them.
 """
 
 from __future__ import annotations
@@ -21,18 +21,9 @@ from fractions import Fraction
 from typing import Iterator
 
 
-@dataclass(frozen=True, slots=True)
-class LevelPart:
-    """One irreducible piece of a level: label k, its dimension, multiplicity."""
-
-    k: Fraction
-    dim: int
-    multiplicity: int
-
-
 @dataclass
 class DegeneracyReport:
-    """Per-level decomposition with the three counts of each kind."""
+    """The three degeneracy and the three partition counts of one level."""
 
     N: int
     l: Fraction
@@ -42,10 +33,6 @@ class DegeneracyReport:
     partitions_reptheory: int
     partitions_formula: int
     partitions_bruteforce: int
-
-    @property
-    def parts(self) -> tuple[LevelPart, ...]:
-        return decompose_level(self.N)
 
     @property
     def consistent(self) -> bool:
@@ -68,11 +55,6 @@ def level_parts(N: int) -> Iterator[tuple[int, int, int]]:
     first = 2 - (N + 1) % 2
     return zip(range(first, N + 2, 2), range((N + 1 - first) // 2 + 1, 0, -1),
                itertools.chain((1 if first == 1 else 2,), itertools.repeat(2)))
-
-
-def decompose_level(N: int) -> tuple[LevelPart, ...]:
-    """The pieces of :func:`level_parts` with their labels k as exact rationals."""
-    return tuple(LevelPart(Fraction(twok, 2), dim, mult) for twok, dim, mult in level_parts(N))
 
 
 def degeneracy_formula(N: int) -> int:

@@ -16,10 +16,15 @@ Casimir scalar and ``eigenspace_states`` (the Fock chains that carry one
 ladder representation) are helpers whose only callers are tests.
 ``band_elements`` is the Fraction band routine of ``diffreal`` from before
 its elements were computed in integers, and ``signed_square`` its helper.
+``monomial`` (once ``RationalPoly.monomial``), ``LevelPart``,
+``decompose_level`` and ``report_parts`` (once ``DegeneracyReport.parts``)
+are helpers whose only callers are tests: a level's pieces of
+``spectrum.level_parts`` with their labels k as exact rationals.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Union
@@ -27,7 +32,7 @@ from typing import Union
 import numpy as np
 from scipy import sparse
 
-from quadalg import reps
+from quadalg import reps, spectrum
 from quadalg.diffreal import DiffOp, DiffRealization
 from quadalg.fock3 import RealizedOperators
 from quadalg.errors import BasisSpanError
@@ -338,6 +343,11 @@ def apply(op, poly):
     return out
 
 
+def monomial(power: int, coeff=1) -> RationalPoly:
+    """The polynomial coeff * z^power."""
+    return RationalPoly([0] * power + [coeff])
+
+
 def commutator_apply(a, b, poly):
     return apply(a, apply(b, poly)) - apply(b, apply(a, poly))
 
@@ -364,7 +374,7 @@ def matrix_elements(real):
     for name, op in real.generators.items():
         table = [[Fraction(0)] * size for _ in range(size)]
         for n in range(size):
-            image = apply(op, RationalPoly.monomial(n))
+            image = apply(op, monomial(n))
             for power, c in enumerate(image.coeffs):
                 if c == 0:
                     continue
@@ -468,3 +478,28 @@ def band_elements(real: DiffRealization) -> tuple[dict[str, tuple[Fraction, ...]
                     band[power] = signed_square(c) / ratios[power]
         bands[name] = tuple(band)
     return bands, clean
+
+
+# ---------------------------------------------------------------------------
+# A spectrum level's pieces with their labels k as exact rationals, as
+# ``spectrum`` once built them from the triples of ``level_parts`` on demand.
+
+
+@dataclass(frozen=True, slots=True)
+class LevelPart:
+    """One irreducible piece of a level: label k, its dimension, multiplicity."""
+
+    k: Fraction
+    dim: int
+    multiplicity: int
+
+
+def decompose_level(N: int) -> tuple[LevelPart, ...]:
+    """The pieces of ``spectrum.level_parts`` with their labels k as exact rationals."""
+    return tuple(LevelPart(Fraction(twok, 2), dim, mult)
+                 for twok, dim, mult in spectrum.level_parts(N))
+
+
+def report_parts(report: spectrum.DegeneracyReport) -> tuple[LevelPart, ...]:
+    """The pieces of a report's level."""
+    return decompose_level(report.N)

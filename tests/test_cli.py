@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from quadalg import diffreal, fock3, reps
-from quadalg.cli import main
+from quadalg.cli import COMMANDS, main
 from quadalg.diffreal import DiffOp
 from quadalg.polyalg import RationalPoly
 
@@ -340,7 +340,7 @@ def test_non_finite_param_exits_2(capsys, argv):
     assert "finite" in err and "Traceback" not in err
 
 
-# every site that used to replace an explicit 0 by its default size
+# every site that used to replace an explicit 0 by its default size, or ignore it
 ZERO_SIZE = {
     "rep-noncompact": ("rep", "--sector=noncompact", "--k=1/2", "--l=1/4", "--dim=0"),
     "casimir-su11": ("casimir", "--sector=su11", "--k=1/2", "--dim=0"),
@@ -349,14 +349,18 @@ ZERO_SIZE = {
     "perelomov-nc": ("coherent", "--family=perelomov-nc", "--k=1/2", "--l=1/4", "--param=0.5",
                      "--dim=0"),
     "bg": (*BG, "--param=0.5", "--dim=0"),
+    "perelomov-c": ("coherent", "--family=perelomov-c", "--k=1/2", "--l=9/4", "--param=0.3",
+                    "--dim=0"),
 }
+# a finite label's error names the dimension it fixes
+ZERO_SIZE_ERROR = {"perelomov-c": "--dim 0 differs from the dimension 5 "}
 
 
-@pytest.mark.parametrize("argv", list(ZERO_SIZE.values()), ids=list(ZERO_SIZE))
-def test_explicit_zero_dim_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv)
+@pytest.mark.parametrize("name", list(ZERO_SIZE))
+def test_explicit_zero_dim_exits_2(capsys, name):
+    code, out, err = run(capsys, *ZERO_SIZE[name])
     assert code == 2 and out == ""
-    assert "dimension must be >= 1" in err
+    assert ZERO_SIZE_ERROR.get(name, "dimension must be >= 1") in err
 
 
 def test_negative_max_n_exits_2(capsys):
@@ -416,9 +420,15 @@ def test_negative_value_as_separate_token(capsys, apart, joined):
     assert run(capsys, *apart) == want
 
 
-def test_flag_does_not_take_a_negative_value(capsys):
-    code, out, err = run(capsys, "coherent", "--family=perelomov-c", "--k=1", "--l=3/2",
-                         "--param=0.3", "--gamma-form", "-1")
+# every option of the command table that takes no value, and the options its command needs
+FLAGS = [(command, flag) for command, (_, _, options) in COMMANDS.items()
+         for flag, kwargs in options if kwargs.get("action") == "store_true"]
+NEEDS = {"coherent": ("--family=perelomov-c", "--k=1", "--l=3/2", "--param=0.3"), "deform": ()}
+
+
+@pytest.mark.parametrize("command, flag", FLAGS, ids=[flag for _, flag in FLAGS])
+def test_flag_does_not_take_a_negative_value(capsys, command, flag):
+    code, out, err = run(capsys, command, *NEEDS[command], flag, "-1")
     assert code == 2 and out == ""
     assert "unrecognized arguments: -1" in err
 
@@ -473,6 +483,8 @@ FINITE_SIZED = {
     "casimir-su2": (("casimir", "--sector=su2", "--j=0", "--dim=16"), 1),
     "diffcheck-compactQ": (("diffcheck", "--kind=compactQ", "--k=1", "--l=1", "--size=5"), 2),
     "diffcheck-su2": (("diffcheck", "--kind=su2", "--j=7/2", "--size=0"), 8),
+    "coherent-perelomov-c": (("coherent", "--family=perelomov-c", "--k=1/2", "--l=9/4",
+                              "--param=0.3", "--dim=50"), 5),
 }
 
 
