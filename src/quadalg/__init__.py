@@ -15,7 +15,7 @@ from .errors import (
     SeriesConvergenceError,
     TruncationError,
 )
-from .polyalg import CasimirPoly, RationalPoly, discrete_antiderivative
+from .polyalg import RationalPoly, discrete_antiderivative
 from .reps import (
     ALGEBRAS,
     AlgebraLabel,
@@ -28,7 +28,7 @@ from .reps import (
 )
 from .fock3 import FockSpace, RealizedOperators, realize, verify_realization
 from .diffreal import DiffOp, MonomialBasis, band_elements, build_realization
-from .special import HypergeomResult, HypergeomSeries, hypergeom
+from .special import HypergeomResult, hyp0f2, hyp1f1, hyp2f0
 from .coherent import CoherentState, bg_state, perelomov_compact, perelomov_noncompact
 from .measures import (
     MomentTarget,

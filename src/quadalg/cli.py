@@ -6,13 +6,14 @@ handler returns one result ``(doc, (header, rows), code)``: the JSON
 document, the CSV table and the exit code.  :func:`main` renders the part
 ``--format`` asks for and is the only writer of stdout; handlers defer work
 that only the other format needs.  Exit codes: 0 on success, 2 on
-validation errors (including unknown flags, missing or malformed labels and
-non-finite parameters), 3 on numerical-tolerance failures, on arithmetic
-errors such as overflow and on a non-finite value in the output (stdout
-stays empty).  k and l are parsed as exact fractions ("3/2"), never as
-floats; a negative value may follow its option as a separate token
-(``--l -1/4``).  Output is byte-deterministic for fixed inputs: ordering
-is fixed and floats are printed with 17 significant digits.
+validation errors (unknown flags, missing or malformed labels, non-finite
+parameters, a --tol or --rel-tol < 0, an --abs-tol or --r-max <= 0), 3 on
+numerical-tolerance failures, on arithmetic errors such as overflow and on
+a non-finite value in the output (stdout stays empty).  k and l are parsed
+as exact fractions ("3/2"), never as floats; a negative value may follow
+its option as a separate token (``--l -1/4``).  Output is byte-deterministic
+for fixed inputs: ordering is fixed and floats are printed with 17
+significant digits.
 
 The environment variable QUADALG_MAX_DIM (default 4096) caps every
 dimension a label or option fixes: truncation dimensions, the dimension of
@@ -36,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import coherent, defosc, diffreal, fock3, measures, reps, spectrum
+from . import coherent, defosc, diffreal, fock3, measures, polyalg, reps, spectrum
 from .errors import InvalidLabelError, NumericalToleranceError
 from .output import JSONFragment, json_dumps, write_csv
 
@@ -78,6 +79,18 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"expected a finite number like '1e-8', got {text!r}")
     return x
+
+
+def _nonneg_float(text: str, strict: bool = False) -> float:
+    x = _finite_float(text)
+    if x < 0 or strict and x == 0:
+        raise argparse.ArgumentTypeError(f"expected a number {'>' if strict else '>='} 0, "
+                                         f"got {text!r}")
+    return x
+
+
+def _positive_float(text: str) -> float:
+    return _nonneg_float(text, strict=True)
 
 
 def _count(text: str) -> int:
@@ -168,8 +181,8 @@ def _cmd_casimir(args):
     report = reps.casimir_value(rep)
     doc = reps.label_fields(rep)
     doc["structure_coeffs"] = [str(c) for c in reps.structure_poly(rep.label).coeffs]
-    doc["casimir_poly_coeffs"] = [str(c) for c in reps.casimir_poly(rep.label).poly.coeffs]
-    doc["convention"] = report.convention_note
+    doc["casimir_poly_coeffs"] = [str(c) for c in reps.casimir_poly(rep.label).coeffs]
+    doc["convention"] = polyalg.CASIMIR_CONVENTION
     doc["value"] = report.value
     doc["max_deviation"] = report.max_deviation
     doc["exact"] = str(report.exact_value)
@@ -347,7 +360,7 @@ def _cmd_deform(args):
 K, L, J = ((f"--{name}", {"type": _frac}) for name in "klj")  # the label options
 SECTOR = ("--sector", {"choices": tuple(reps.ALGEBRAS), "required": True})
 LADDER = (SECTOR, K, L, J, ("--dim", {"type": int}))
-TOL = ("--tol", {"type": _finite_float, "default": 1e-10})
+TOL = ("--tol", {"type": _nonneg_float, "default": 1e-10})
 FORMAT = ("--format", {"choices": ("json", "csv"), "default": "json"})
 
 COMMANDS = {
@@ -376,10 +389,10 @@ COMMANDS = {
         K, L,
         *((f"--{name}", {"type": _finite_float}) for name in "abc"),
         ("--max-n", {"type": _count, "default": 5}),
-        ("--abs-tol", {"type": _finite_float, "default": 1e-9}),
-        ("--rel-tol", {"type": _finite_float, "default": 1e-8}),
-        ("--r-max", {"type": _finite_float}),
-        ("--tol", {"type": _finite_float, "default": 1e-6,
+        ("--abs-tol", {"type": _positive_float, "default": 1e-9}),
+        ("--rel-tol", {"type": _nonneg_float, "default": 1e-8}),
+        ("--r-max", {"type": _positive_float}),
+        ("--tol", {"type": _nonneg_float, "default": 1e-6,
                    "help": "acceptance threshold on deviations (exit 3 beyond)"}))),
     "spectrum": (_cmd_spectrum, "level degeneracies and partition counts", (
         ("--from", {"dest": "from_", "type": int, "required": True}),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .reps import AlgebraLabel
-from .special import HypergeomResult, hypergeom, series_0f2, series_1f1, series_2f0
+from .special import HypergeomResult, hyp0f2, hyp1f1, hyp2f0
 
 
 @dataclass
@@ -115,7 +115,7 @@ def bg_state(label: AlgebraLabel, alpha: complex, dim: Optional[int] = None,
     for n in range(dim):
         coeffs[n] = c
         c = c * alpha / math.sqrt((n + 1) * (n + 2 * k) * (n + s + 1))
-    norm_series = hypergeom(series_0f2(2 * k, s + 1), abs(alpha) ** 2)
+    norm_series = hyp0f2(2 * k, s + 1, abs(alpha) ** 2)
     n_const = 1.0 / math.sqrt(norm_series.value)
     coeffs *= n_const
     return CoherentState(
@@ -149,7 +149,7 @@ def perelomov_noncompact(label: AlgebraLabel, beta: complex, dim: int) -> Cohere
         coeffs[n] = c
         norm_sq += abs(c) ** 2
         c = c * beta * math.sqrt((2 * k + n) * (s + 1 + n) / (n + 1))
-    asym = hypergeom(series_2f0(2 * k, s + 1), abs(beta) ** 2, order=dim)
+    asym = hyp2f0(2 * k, s + 1, abs(beta) ** 2, dim)
     n_const = 1.0 / math.sqrt(norm_sq)
     coeffs *= n_const
     return CoherentState(
@@ -172,7 +172,7 @@ def compact_norm_sq_formula(label: AlgebraLabel, gamma_abs: float) -> tuple[floa
     """
     k, l = float(label.k), float(label.l)
     s = label.step
-    phi = hypergeom(series_1f1(-float(s), 1.0 - s - 2 * k), gamma_abs ** 2)
+    phi = hyp1f1(-float(s), 1.0 - s - 2 * k, gamma_abs ** 2)
     value = (gamma_abs ** (-2 * s)
              * math.exp(math.lgamma(k + 2 * l) - math.lgamma(2 * k))
              * phi.value)

@@ -27,6 +27,7 @@ from .reps import AlgebraLabel
 from .special import confluent_neg, is_nonpos_int
 
 TWO_PI = 2.0 * math.pi
+QUAD_LIMIT = 800  # subinterval budget of one adaptive quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,6 @@ class QuadratureSpec:
     r_max: Optional[float] = None
     abs_tol: float = 1e-9
     rel_tol: float = 1e-8
-    limit: int = 800
 
 
 def _tail_cutoff(a: float, c: float, w: float, abs_tol: float) -> float:
@@ -126,13 +126,13 @@ def _integrate_moment(f: Callable[[float], float], r_max: float, epsabs: float,
                       spec: QuadratureSpec) -> tuple[float, int]:
     decades = int(math.ceil(math.log10(max(r_max, 10.0))))
     points = [10.0 ** j for j in range(decades) if 10.0 ** j < r_max]
-    if len(points) + 2 > spec.limit:
+    if len(points) + 2 > QUAD_LIMIT:
         points = None
     from scipy import integrate  # deferred: it is most of the package's import time
 
     value, abserr, info = integrate.quad(
         f, 0.0, r_max, epsabs=epsabs, epsrel=spec.rel_tol,
-        limit=spec.limit, points=points, full_output=True)[:3]
+        limit=QUAD_LIMIT, points=points, full_output=True)[:3]
     if abserr > 10.0 * max(2.0 * epsabs, spec.rel_tol * abs(value)):
         raise QuadratureError(
             f"quadrature error estimate {abserr:.3e} exceeds the requested tolerance")
@@ -185,7 +185,7 @@ def kummer_integral_check(a: float, b: float, c: float,
     # small (but resolved) integrals need the absolute target rescaled so the
     # relative tolerance is reachable; values below abs_tol stay as they are
     scaled = 0.25 * spec.rel_tol * abs(numeric)
-    if spec.r_max is None and abs(numeric) > spec.abs_tol and scaled < epsabs:
+    if spec.r_max is None and abs(numeric) > spec.abs_tol and 0 < scaled < epsabs:
         r_max = _tail_cutoff(a, c, b - 1.0, scaled)
         numeric, more = _integrate_moment(f, r_max, scaled, spec)
         evals += more

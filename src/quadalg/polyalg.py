@@ -5,8 +5,8 @@ A one-generator polynomial deformation is fixed by a structure polynomial
 ``raising @ lowering + g(diagonal - 1)`` where ``g`` is the discrete
 antiderivative of ``p``, i.e. ``g(x) - g(x-1) = p(x)``.  The antiderivative
 is defined up to an additive constant; everything here pins it down by the
-normalisation ``g(-1) = 0``.  The structure polynomials themselves are the
-rows of ``reps.ALGEBRAS``.
+normalisation ``g(-1) = 0`` (``CASIMIR_CONVENTION``).  The structure
+polynomials themselves are the rows of ``reps.ALGEBRAS``.
 
 Polynomial arithmetic is exact over :class:`fractions.Fraction`; evaluation
 at floats (or elementwise on float arrays) uses the coefficients as floats.
@@ -14,11 +14,13 @@ at floats (or elementwise on float arrays) uses the coefficients as floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
+
+CASIMIR_CONVENTION = "g(-1) = 0"  # the normalisation that makes ``g`` unique
 
 
 def as_fraction(x) -> Fraction:
@@ -128,49 +130,15 @@ class RationalPoly:
         return "RationalPoly(" + " + ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class CasimirPoly:
-    """Discrete antiderivative ``g`` of a structure polynomial.
-
-    ``convention_note`` records the normalisation that makes ``g`` unique.
-    """
-
-    poly: RationalPoly
-    convention_note: str = "g(-1) = 0"
-
-    def __call__(self, x):
-        return self.poly(x)
-
-
-def _lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> RationalPoly:
-    total = RationalPoly.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        basis = RationalPoly([yi])
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = basis * RationalPoly([-xj, 1]) * Fraction(1, xi - xj)
-        total = total + basis
-    return total
-
-
-def discrete_antiderivative(f: RationalPoly) -> CasimirPoly:
+def discrete_antiderivative(f: RationalPoly) -> RationalPoly:
     """Return ``g`` with ``g(x) - g(x-1) = f(x)`` identically and ``g(-1) = 0``.
 
-    ``g`` has degree ``deg(f) + 1`` and is unique given the normalisation; it
-    is recovered by interpolating the cumulative sums ``g(m) = sum_{t=0}^m
-    f(t)`` together with the anchor ``g(-1) = 0``, then verified symbolically.
+    The x^m coefficient of ``g(x) - g(x-1)``, ``sum_{i>m} b_i C(i, m) (-1)^(i-m+1)``,
+    is ``(m+1) b_{m+1}`` plus higher ``b``: solve from the top degree down, then ``b_0``.
     """
-    if not f:
-        return CasimirPoly(RationalPoly.zero())
-    points = [(Fraction(-1), Fraction(0))]
-    acc = Fraction(0)
-    for m in range(f.degree + 1):
-        acc += f(Fraction(m))
-        points.append((Fraction(m), acc))
-    g = _lagrange_interpolate(points)
-    if g - g.shift(-1) != f:
-        raise AssertionError("discrete antiderivative failed symbolic check")
-    return CasimirPoly(g)
+    b = [Fraction(0)] * (len(f.coeffs) + 1)
+    for m in reversed(range(len(f.coeffs))):
+        rest = sum(b[i] * math.comb(i, m) * (-1) ** (i - m) for i in range(m + 2, len(b)))
+        b[m + 1] = (f.coeffs[m] + rest) / (m + 1)
+    b[0] = sum(c * (-1) ** (i + 1) for i, c in enumerate(b[1:], 1))
+    return RationalPoly(b)

@@ -274,11 +274,9 @@ class CasimirReport:
     exact_value: Fraction
     reference_value: Optional[Fraction]
     matches_reference: bool
-    convention_note: str
-    interior_dim: int
 
 
-def casimir_poly(label: AnyLabel) -> polyalg.CasimirPoly:
+def casimir_poly(label: AnyLabel) -> RationalPoly:
     return polyalg.discrete_antiderivative(structure_poly(label))
 
 
@@ -300,8 +298,7 @@ def casimir_value(rep: Representation) -> CasimirReport:
     It is diagonal, with entry ``raising[n-1]**2 + g(diag[n] - 1)`` at level n.
     """
     g = casimir_poly(rep.label)
-    mask = rep.interior
-    diag = (np.append(0.0, rep.raising * rep.raising) + g(rep.diag - 1.0))[mask]
+    diag = (np.append(0.0, rep.raising * rep.raising) + g(rep.diag - 1.0))[rep.interior]
     value = float(diag.mean()) if diag.size else 0.0
     dev = np.abs(diag - value).max(initial=0.0)
     # exact route: the lowest state is annihilated, so C = g(q0(0) - 1) there
@@ -310,7 +307,6 @@ def casimir_value(rep: Representation) -> CasimirReport:
     return CasimirReport(
         value=value, max_deviation=float(dev), exact_value=exact,
         reference_value=ref, matches_reference=(exact == ref),
-        convention_note=g.convention_note, interior_dim=int(mask.sum()),
     )
 
 
@@ -351,6 +347,6 @@ def rep_to_dict(rep: Representation) -> dict:
         "exact": _frac_str(rep_c.exact_value),
         "reference": _frac_str(rep_c.reference_value),
         "matches_reference": rep_c.matches_reference,
-        "convention": rep_c.convention_note,
+        "convention": polyalg.CASIMIR_CONVENTION,
     }
     return doc

@@ -1,11 +1,11 @@
 """Hypergeometric series and the confluent function at negative argument.
 
-The one home of the series arithmetic used by :mod:`quadalg.coherent` (the
-0F2, 1F1 and 2F0 norm series) and :mod:`quadalg.measures` (M(a; c; -x) in
-the radial integrands).  A 2F0 with a non-positive integer parameter is a
-polynomial and is summed in full; any other 2F0 diverges and is summed up
-to its smallest term (optimal truncation), with the first omitted term as
-the error estimate.
+The one home of the series arithmetic: :func:`hyp0f2`, :func:`hyp1f1` and
+:func:`hyp2f0` for :mod:`quadalg.coherent`, :func:`confluent_neg` (M(a; c; -x))
+for :mod:`quadalg.measures`.  0F2 and 1F1 stop below ``TOL`` times the sum.
+A 2F0 with a non-positive integer parameter is a polynomial, summed in full;
+any other diverges and is summed up to its smallest term (optimal
+truncation), with the first omitted term as the error estimate.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from typing import Optional, Union
 
 from .errors import SeriesConvergenceError
 
-KINDS = ("0F2", "1F1", "2F0")
-
 Number = Union[float, complex]
 
 INT_TOL = 1e-9
+TOL = 1e-15
+MAX_TERMS = 100000
 
 
 def is_nonpos_int(x: float) -> bool:
@@ -37,29 +37,6 @@ def termination_index(numerator) -> Optional[int]:
     return stop
 
 
-@dataclass(frozen=True)
-class HypergeomSeries:
-    """Parameter set of a pFq series with p+q <= 2 as used here."""
-
-    kind: str
-    numerator: tuple[float, ...]
-    denominator: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        arity = {"0F2": (0, 2), "1F1": (1, 1), "2F0": (2, 0)}[self.kind]
-        if (len(self.numerator), len(self.denominator)) != arity:
-            raise ValueError(f"{self.kind} takes {arity[0]} numerator and "
-                             f"{arity[1]} denominator parameters")
-        # a denominator pole is only acceptable if a numerator parameter
-        # terminates the series first
-        for b in self.denominator:
-            if is_nonpos_int(b) and not any(
-                    is_nonpos_int(a) and a >= b - INT_TOL for a in self.numerator):
-                raise ValueError(f"denominator parameter {b} is a non-positive integer (pole)")
-
-
 @dataclass
 class HypergeomResult:
     value: Number
@@ -69,22 +46,10 @@ class HypergeomResult:
     error_estimate: Optional[float] = None
 
 
-def series_0f2(b1: float, b2: float) -> HypergeomSeries:
-    return HypergeomSeries("0F2", (), (float(b1), float(b2)))
-
-
-def series_1f1(a: float, b: float) -> HypergeomSeries:
-    return HypergeomSeries("1F1", (float(a),), (float(b),))
-
-
-def series_2f0(a: float, b: float) -> HypergeomSeries:
-    return HypergeomSeries("2F0", (float(a), float(b)), ())
-
-
-def _sum_convergent(num, den, x, tol, max_terms, stop_at: Optional[int]) -> HypergeomResult:
+def _sum_convergent(num, den, x, stop_at: Optional[int]) -> HypergeomResult:
     term = total = 1.0
     m = 0
-    while m < max_terms:
+    while m < MAX_TERMS:
         if stop_at is not None and m + 1 >= stop_at:
             return HypergeomResult(total, m + 1, True)
         ratio = x / (m + 1)
@@ -95,10 +60,10 @@ def _sum_convergent(num, den, x, tol, max_terms, stop_at: Optional[int]) -> Hype
         term = term * ratio
         total = total + term
         m += 1
-        if abs(term) < tol * abs(total):
+        if abs(term) < TOL * abs(total):
             return HypergeomResult(total, m + 1, True)
     raise SeriesConvergenceError(
-        f"series did not converge within {max_terms} terms (|last term| = {abs(term):.3e})")
+        f"series did not converge within {MAX_TERMS} terms (|last term| = {abs(term):.3e})")
 
 
 def _sum_2f0(a: float, b: float, x: Number, order: int, stop: Optional[int], value_only=False):
@@ -127,32 +92,43 @@ def _sum_2f0(a: float, b: float, x: Number, order: int, stop: Optional[int], val
     return total, m + 1, False, best_m, abs(term * (a + m) * (b + m) * x / (m + 1))
 
 
-def hypergeom(series: HypergeomSeries, x: Number, tol: float = 1e-15,
-              max_terms: int = 100000, order: Optional[int] = None) -> HypergeomResult:
-    """Evaluate a series of kind 0F2, 1F1 or 2F0 at ``x``.
-
-    0F2 and 1F1 are summed until ``|term| < tol * |partial sum|`` (hard cap
-    ``max_terms``); a non-terminating 1F1 at negative real argument is
-    refused, as :func:`confluent_neg` evaluates it stably.  2F0 requires a
-    truncation ``order``; a terminating 2F0 is summed in full, any other
-    returns the optimally truncated asymptotic sum together with the
-    smallest-term index and the first omitted term as an error estimate.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def _checked(num, den, x: Number) -> Number:
+    """``x``, real if its imaginary part is 0; refuses a non-finite ``x`` and a pole
+    in ``den`` that no parameter in ``num`` terminates the series before."""
+    for b in den:
+        if is_nonpos_int(b) and not any(is_nonpos_int(a) and a >= b - INT_TOL for a in num):
+            raise ValueError(f"denominator parameter {b} is a non-positive integer (pole)")
     if isinstance(x, complex) and x.imag == 0:
         x = x.real
     if not isinstance(x, complex) and not math.isfinite(x):
         raise ValueError("argument must be finite")
+    return x
 
-    stop = termination_index(series.numerator)
-    if series.kind == "2F0":
-        if order is None or order < 1:
-            raise ValueError("2F0 is divergent; supply a positive truncation order")
-        return HypergeomResult(*_sum_2f0(*series.numerator, x, order, stop))
-    if series.kind == "1F1" and not isinstance(x, complex) and x < 0 and stop is None:
+
+def hyp0f2(b1: float, b2: float, x: Number) -> HypergeomResult:
+    """0F2(; b1, b2; x)."""
+    den = (float(b1), float(b2))
+    return _sum_convergent((), den, _checked((), den, x), None)
+
+
+def hyp1f1(a: float, b: float, x: Number) -> HypergeomResult:
+    """1F1(a; b; x); a non-terminating series at negative real argument is
+    refused, as :func:`confluent_neg` evaluates it stably."""
+    num, den = (float(a),), (float(b),)
+    x, stop = _checked(num, den, x), termination_index(num)
+    if not isinstance(x, complex) and x < 0 and stop is None:
         raise ValueError("a non-terminating 1F1 at negative argument is confluent_neg(a, b, -x)")
-    return _sum_convergent(series.numerator, series.denominator, x, tol, max_terms, stop)
+    return _sum_convergent(num, den, x, stop)
+
+
+def hyp2f0(a: float, b: float, x: Number, order: int) -> HypergeomResult:
+    """2F0(a, b; ; x) over at most ``order`` terms: in full if it terminates, else
+    optimally truncated, with the smallest-term index and an error estimate."""
+    num = (float(a), float(b))
+    x = _checked(num, (), x)
+    if order < 1:
+        raise ValueError("2F0 is divergent; supply a positive truncation order")
+    return HypergeomResult(*_sum_2f0(*num, x, order, termination_index(num)))
 
 
 _ASYMPTOTIC_SWITCH = 80.0

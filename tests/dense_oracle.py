@@ -36,7 +36,7 @@ from quadalg import reps, spectrum
 from quadalg.diffreal import DiffOp, DiffRealization
 from quadalg.fock3 import RealizedOperators
 from quadalg.errors import BasisSpanError
-from quadalg.polyalg import CasimirPoly, RationalPoly, as_fraction
+from quadalg.polyalg import RationalPoly, as_fraction
 
 
 def rising(x, n: int) -> Fraction:
@@ -76,13 +76,12 @@ def eval_matrix(poly, m):
 
 def casimir_matrix(mats, g):
     """Dense Casimir matrix ``qp @ qm + g(q0 - 1)`` of anything with q0/qp/qm."""
-    poly = g.poly if isinstance(g, CasimirPoly) else g
     q0, qp, qm = (np.asarray(m, float) for m in (mats.q0, mats.qp, mats.qm))
     d = q0.shape[0]
     for m in (q0, qp, qm):
         if m.shape != (d, d):
             raise ValueError("representation matrices must be square and of equal dimension")
-    return qp @ qm + eval_matrix(poly, q0 - np.eye(d))
+    return qp @ qm + eval_matrix(g, q0 - np.eye(d))
 
 
 def casimir_value(rep):

@@ -340,6 +340,36 @@ def test_non_finite_param_exits_2(capsys, argv):
     assert "finite" in err and "Traceback" not in err
 
 
+# tolerances and --tol thresholds must be >= 0, --abs-tol and --r-max > 0
+RESOLUTION = ("measure", "--k=2", "--l=7")
+OUT_OF_RANGE = [
+    pytest.param(("measure", "--k", "2", "--l", "7", "--abs-tol", "-1"), id="abs-tol--1"),
+    pytest.param((*KUMMER, "--abs-tol=-1"), id="kummer-abs-tol--1"),
+    pytest.param((*KUMMER, "--rel-tol=-1"), id="kummer-rel-tol--1"),
+    pytest.param((*RESOLUTION, "--abs-tol=0"), id="abs-tol-0"),
+    pytest.param((*KUMMER, "--abs-tol=-0.0"), id="abs-tol--0.0"),
+    pytest.param(("verify", "--sector=compact", "--cutoffs=6", "--tol=-1"), id="verify-tol--1"),
+    pytest.param(("deform", "--k=1", "--l=1", "--tol", "-1e-300"), id="deform-tol--1e-300"),
+    pytest.param((*RESOLUTION, "--tol=-1"), id="measure-tol--1"),
+    pytest.param((*RESOLUTION, "--r-max", "-5"), id="r-max--5"),
+    pytest.param((*KUMMER, "--r-max=0"), id="r-max-0"),
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE)
+def test_out_of_range_tolerance_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "0, got" in err and "Traceback" not in err
+
+
+def test_zero_rel_tol_keeps_the_absolute_target(capsys):
+    # a relative tolerance of 0 must not rescale the absolute target to 0
+    code, out, err = run(capsys, *KUMMER, "--rel-tol=0")
+    assert code == 0 and err == ""
+    assert json.loads(out)["rel_error"] <= 1e-6
+
+
 # every site that used to replace an explicit 0 by its default size, or ignore it
 ZERO_SIZE = {
     "rep-noncompact": ("rep", "--sector=noncompact", "--k=1/2", "--l=1/4", "--dim=0"),

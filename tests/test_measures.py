@@ -361,12 +361,14 @@ def test_explicit_r_max_is_used():
     assert report.max_deviation <= 1e-6
 
 
-def test_quadrature_budget_failure_raises():
+def test_quadrature_budget_failure_raises(monkeypatch):
+    from quadalg import measures
     from quadalg.errors import QuadratureError
 
+    monkeypatch.setattr(measures, "QUAD_LIMIT", 1)
     label = AlgebraLabel.compact(4, 6)
     with pytest.raises(QuadratureError):
-        verify_compact_resolution(label, QuadratureSpec(abs_tol=1e-13, limit=1))
+        verify_compact_resolution(label, QuadratureSpec(abs_tol=1e-13))
 
 
 def test_moment_label_validation():
