@@ -18,10 +18,8 @@ from .errors import (
 from .polyalg import RationalPoly, discrete_antiderivative
 from .reps import (
     ALGEBRAS,
-    AlgebraLabel,
+    Label,
     Representation,
-    Su2Label,
-    Su11Label,
     casimir_value,
     ladder_rep,
     structure_poly,

@@ -124,24 +124,15 @@ def _check_dim(dim: int, what: str = "dimension") -> int:
     return dim
 
 
-# each sector's label options and the constructor that takes them in that order
-_LABELS = {
-    "compact": (("k", "l"), reps.AlgebraLabel.compact),
-    "noncompact": (("k", "l"), reps.AlgebraLabel.noncompact),
-    "su2": (("j",), reps.Su2Label),
-    "su11": (("k",), reps.Su11Label),
-}
-
-
-def _label(args, sector: str) -> reps.AnyLabel:
+def _label(args, sector: str) -> reps.Label:
     """The label the options fix in ``sector``; a finite representation must fit the cap."""
-    names, make = _LABELS[sector]
-    values = [getattr(args, name) for name in names]
-    if None in values:
+    names = reps.ALGEBRAS[sector].names
+    values = {name: getattr(args, name) for name in names}
+    if None in values.values():
         flags = " and ".join(f"--{name}" for name in names)
         raise InvalidLabelError(f"{flags} {'is' if len(names) == 1 else 'are'} required "
                                 f"for a {sector} label")
-    label = make(*values)
+    label = reps.Label(sector, **values)
     if reps.ALGEBRAS[sector].finite:
         _check_dim(label.dim)
     return label

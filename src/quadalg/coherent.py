@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import TruncationError
-from .reps import AlgebraLabel
+from .reps import Label
 from .special import HypergeomResult, hyp0f2, hyp1f1, hyp2f0
 
 
@@ -39,7 +39,7 @@ class CoherentState:
     """
 
     family: str
-    label: AlgebraLabel
+    label: Label
     parameter: complex
     coeffs: np.ndarray
     norm_constant: float
@@ -52,7 +52,7 @@ class CoherentState:
         return float(np.linalg.norm(self.coeffs))
 
 
-def _bg_walk(label: AlgebraLabel, asq: float):
+def _bg_walk(label: Label, asq: float):
     """Partial sums of the eigenstate squared-norm series sum_n t_n at |alpha|^2 = asq.
 
     Yields (n, ratio, t, total) for n = 0, 1, ...: ``total`` sums the first n
@@ -69,7 +69,7 @@ def _bg_walk(label: AlgebraLabel, asq: float):
         n += 1
 
 
-def _bg_choose_dim(label: AlgebraLabel, alpha: complex, tail_rel: float, max_dim: int) -> int:
+def _bg_choose_dim(label: Label, alpha: complex, tail_rel: float, max_dim: int) -> int:
     asq = abs(alpha) ** 2
     if asq == 0.0:
         return 1
@@ -79,7 +79,7 @@ def _bg_choose_dim(label: AlgebraLabel, alpha: complex, tail_rel: float, max_dim
     raise TruncationError(f"no truncation below {max_dim} reaches tail {tail_rel:g} for |alpha|={abs(alpha):g}")
 
 
-def _bg_tail_bound(label: AlgebraLabel, alpha: complex, dim: int) -> float:
+def _bg_tail_bound(label: Label, alpha: complex, dim: int) -> float:
     """Upper bound on the dropped share of the squared norm past ``dim``."""
     asq = abs(alpha) ** 2
     if asq == 0.0:
@@ -88,7 +88,7 @@ def _bg_tail_bound(label: AlgebraLabel, alpha: complex, dim: int) -> float:
     return math.inf if ratio >= 1.0 else (t / (1 - ratio)) / total
 
 
-def bg_state(label: AlgebraLabel, alpha: complex, dim: Optional[int] = None,
+def bg_state(label: Label, alpha: complex, dim: Optional[int] = None,
              tail_rel: Optional[float] = None, max_dim: int = 4096) -> CoherentState:
     """Eigenstate of the lowering generator with eigenvalue ``alpha``.
 
@@ -127,7 +127,7 @@ def bg_state(label: AlgebraLabel, alpha: complex, dim: Optional[int] = None,
     )
 
 
-def perelomov_noncompact(label: AlgebraLabel, beta: complex, dim: int) -> CoherentState:
+def perelomov_noncompact(label: Label, beta: complex, dim: int) -> CoherentState:
     """Orbit-type state of the noncompact algebra, truncated at ``dim``.
 
     The squared-norm series is the (divergent) 2F0 of the label; the
@@ -163,7 +163,7 @@ def perelomov_noncompact(label: AlgebraLabel, beta: complex, dim: int) -> Cohere
     )
 
 
-def compact_norm_sq_formula(label: AlgebraLabel, gamma_abs: float) -> tuple[float, HypergeomResult]:
+def compact_norm_sq_formula(label: Label, gamma_abs: float) -> tuple[float, HypergeomResult]:
     """Squared norm of the unnormalised inverse-parameter orbit sum.
 
     Evaluates |g|^(2(k-2l)) * Gamma(k+2l) * Phi(k-2l, 1-2l-k; |g|^2) /
@@ -179,7 +179,7 @@ def compact_norm_sq_formula(label: AlgebraLabel, gamma_abs: float) -> tuple[floa
     return value, phi
 
 
-def perelomov_compact(label: AlgebraLabel, parameter: complex,
+def perelomov_compact(label: Label, parameter: complex,
                       form: str = "alpha") -> CoherentState:
     """Finite orbit-type state of the compact algebra.
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .polyalg import RationalPoly
-from .reps import AlgebraLabel, Representation, ladder_rep, relation_bands, structure_poly
+from .reps import Label, Representation, ladder_rep, relation_bands, structure_poly
 
 
 @dataclass
@@ -27,7 +27,7 @@ class DeformedOscillator:
     n+1 to n, which is also the entry of A+ from n to n+1.
     """
 
-    label: AlgebraLabel
+    label: Label
     number: np.ndarray
     lowering: np.ndarray
     f_poly: RationalPoly
@@ -102,7 +102,7 @@ def fermion_check() -> FermionCheck:
         and np.array_equal(n @ fdag - fdag @ n, fdag)
     )
     nilpotent = not np.any(f @ f)
-    osc = deform(ladder_rep(AlgebraLabel.compact(1, 1)))
+    osc = deform(ladder_rep(Label("compact", 1, 1)))
     matches = (
         osc.f_poly == rhs_poly
         and np.array_equal(osc.number, np.diag(n))

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BasisSpanError, InvalidLabelError
-from .polyalg import RationalPoly, as_fraction
-from .reps import AlgebraLabel, Su2Label, Su11Label, AnyLabel
+from .polyalg import RationalPoly
+from .reps import Label
 
 MAX_ORDER = 3
 
@@ -46,7 +46,7 @@ class MonomialBasis:
     raising image of the top function is allowed to leave the span.
     """
 
-    label: AnyLabel
+    label: Label
     norm_ratios: tuple[Fraction, ...]
     size: int
     truncated: bool
@@ -72,28 +72,25 @@ def _op(*terms: tuple[int, list]) -> DiffOp:
     return DiffOp(tuple((o, RationalPoly(c)) for o, c in terms))
 
 
-def build_realization(kind: str, label, size: Optional[int] = None) -> DiffRealization:
+def build_realization(kind: str, label: Label, size: Optional[int] = None) -> DiffRealization:
     """Generator triple and monomial basis for one of the four families.
 
-    ``kind`` is one of 'su2', 'su11', 'compactQ', 'noncompactQ'.  The label
-    is j for su2, the lowest weight k for su11, and an
-    :class:`~quadalg.reps.AlgebraLabel` for the quadratic kinds.  ``size`` is
-    required for the infinite families (su11, noncompactQ).
+    ``kind`` is one of 'su2', 'su11', 'compactQ', 'noncompactQ', and ``label``
+    a :class:`~quadalg.reps.Label` of its sector.  ``size`` is required for the
+    infinite families (su11, noncompactQ).
     """
     if kind == "su2":
-        lab = label if isinstance(label, Su2Label) else Su2Label(as_fraction(label))
-        j = lab.j
+        j = label.j
         twoj = int(2 * j)
         q0 = _op((1, [0, 1]), (0, [-j]))
         qp = _op((1, [0, 0, -1]), (0, [0, 2 * j]))
         qm = _op((1, [1]))
         # N_n = n! (2j-n)!
         ratios = tuple(Fraction(n + 1, twoj - n) for n in range(twoj))
-        return DiffRealization(q0, qp, qm, MonomialBasis(lab, ratios, twoj + 1, False))
+        return DiffRealization(q0, qp, qm, MonomialBasis(label, ratios, twoj + 1, False))
 
     if kind == "su11":
-        lab = label if isinstance(label, Su11Label) else Su11Label(as_fraction(label))
-        k = lab.k
+        k = label.k
         if size is None or size < 1:
             raise ValueError("su11 basis is infinite; a positive size is required")
         twok = int(2 * k)
@@ -102,36 +99,34 @@ def build_realization(kind: str, label, size: Optional[int] = None) -> DiffReali
         qm = _op((2, [0, 1]), (1, [2 * k]))
         # N_n = n! (n+2k-1)!
         ratios = tuple(Fraction((n + 1) * (n + twok)) for n in range(size - 1))
-        return DiffRealization(q0, qp, qm, MonomialBasis(lab, ratios, size, True))
+        return DiffRealization(q0, qp, qm, MonomialBasis(label, ratios, size, True))
 
     if kind == "compactQ":
-        lab: AlgebraLabel = label
-        if lab.sector != "compact":
+        if label.sector != "compact":
             raise InvalidLabelError("compactQ needs a compact label")
-        k, l = lab.k, lab.l
-        twok, step = int(2 * k), lab.step
+        k, l = label.k, label.l
+        twok, step = int(2 * k), label.step
         q0 = _op((1, [0, 1]), (0, [k - l]))
         qp = _op((1, [0, 0, -1]), (0, [0, 2 * l - k]))
         qm = _op((2, [0, 1]), (1, [2 * k]))
         # N_n = n! (n+2k-1)! (2l-k-n)!
         ratios = tuple(Fraction((n + 1) * (n + twok), step - n) for n in range(step))
-        return DiffRealization(q0, qp, qm, MonomialBasis(lab, ratios, lab.dim, False))
+        return DiffRealization(q0, qp, qm, MonomialBasis(label, ratios, label.dim, False))
 
     if kind == "noncompactQ":
-        lab = label
-        if lab.sector != "noncompact":
+        if label.sector != "noncompact":
             raise InvalidLabelError("noncompactQ needs a noncompact label")
         if size is None or size < 1:
             raise ValueError("noncompactQ basis is infinite; a positive size is required")
-        k, l = lab.k, lab.l
-        twok, step = int(2 * k), lab.step
+        k, l = label.k, label.l
+        twok, step = int(2 * k), label.step
         q0 = _op((1, [0, 1]), (0, [k - l]))
         qp = _op((0, [0, 1]))
         qm = _op((3, [0, 0, 1]), (2, [0, 3 * k - 2 * l + 2]),
                  (1, [2 * k * k - 4 * k * l + 2 * k]))
         # N_n = n! (n+2k-1)! (n+k-2l)!
         ratios = tuple(Fraction((n + 1) * (n + twok) * (n + 1 + step)) for n in range(size - 1))
-        return DiffRealization(q0, qp, qm, MonomialBasis(lab, ratios, size, True))
+        return DiffRealization(q0, qp, qm, MonomialBasis(label, ratios, size, True))
 
     raise ValueError(f"unknown realization kind {kind!r}")
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import QuadratureError
-from .reps import AlgebraLabel
+from .reps import Label
 from .special import confluent_neg, is_nonpos_int
 
 TWO_PI = 2.0 * math.pi
@@ -41,13 +41,13 @@ class MomentTarget:
     ``ratio_to_first`` is the exact rational value of target(n)/target(0).
     """
 
-    label: AlgebraLabel
+    label: Label
     n: int
     value: float
     ratio_to_first: Fraction
 
 
-def _moment_targets(label: AlgebraLabel, max_n: int, sign: int, scale: float) -> list[MomentTarget]:
+def _moment_targets(label: Label, max_n: int, sign: int, scale: float) -> list[MomentTarget]:
     """Targets n = 0..max_n, scale * n! ((2k)_n (s+1)_n)^sign / (2*pi).
 
     The gamma ratios go through log-gammas; the exact ratio to n = 0 is
@@ -69,12 +69,12 @@ def _moment_targets(label: AlgebraLabel, max_n: int, sign: int, scale: float) ->
     return targets
 
 
-def bg_moment_targets(label: AlgebraLabel, max_n: int) -> list[MomentTarget]:
+def bg_moment_targets(label: Label, max_n: int) -> list[MomentTarget]:
     """Moment targets 0..max_n of the lowering-eigenstate measure (1/(2*pi) at n = 0)."""
     return _moment_targets(label, max_n, 1, 1.0)
 
 
-def perelomov_moment_targets(label: AlgebraLabel, max_n: int) -> list[MomentTarget]:
+def perelomov_moment_targets(label: Label, max_n: int) -> list[MomentTarget]:
     """Moment targets 0..max_n of the noncompact orbit-state measure (1/pi at n = 0)."""
     return _moment_targets(label, max_n, -1, 2.0)
 
@@ -210,7 +210,7 @@ class MomentCheck:
 
 @dataclass
 class ResolutionReport:
-    label: AlgebraLabel
+    label: Label
     checks: list[MomentCheck]
 
     @property
@@ -226,7 +226,7 @@ class ResolutionReport:
         ]
 
 
-def verify_compact_resolution(label: AlgebraLabel,
+def verify_compact_resolution(label: Label,
                               spec: Optional[QuadratureSpec] = None) -> ResolutionReport:
     """Check every moment of the compact measure against the projector identity.
 

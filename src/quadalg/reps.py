@@ -2,9 +2,11 @@
 
 Every algebra here is one polynomial: [Q0, Q+-] = +-Q+- and
 [Q+, Q-] = c2 Q0^2 + c1 Q0 + c0.  ``ALGEBRAS`` holds, per sector, the
-coefficients (c0, c1, c2) as a function of K = k(1-k) and l, the lowest Q0
-eigenvalue as a function of the label, and whether the representation is
-finite.  ``ladder_rep`` builds every representation from that entry alone:
+coefficients (c0, c1, c2) as a function of K and l, the lowest Q0
+eigenvalue, whether the representation is finite, and the label: its
+options, its integrality rules, K, the step that fixes the dimension and
+the closed-form Casimir value.  One ``Label`` class reads that row, and
+``ladder_rep`` builds every representation from it alone:
 
 * compact: finite dimension ``2l - k + 1``;
 * noncompact: infinite, stored truncated; the top basis index is flagged
@@ -25,12 +27,11 @@ is ever built.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,138 +46,118 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidLabelError(message)
 
 
-@dataclass(frozen=True)
-class AlgebraLabel:
-    """Label (k, l, sector) of an irreducible quadratic-algebra representation.
-
-    ``k`` is a positive multiple of 1/2, ``l`` a multiple of 1/4.  The sector
-    fixes the integrality constraint: ``2l - k`` a non-negative integer
-    (compact, dimension ``2l - k + 1``) or ``k - 2l`` a non-negative integer
-    (noncompact, infinite dimensional).
-    """
-
-    k: Fraction
-    l: Fraction
-    sector: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", as_fraction(self.k))
-        object.__setattr__(self, "l", as_fraction(self.l))
-        k, l = self.k, self.l
-        _require(self.sector in ("compact", "noncompact"),
-                 f"sector must be 'compact' or 'noncompact', got {self.sector!r}")
-        _require((2 * k).denominator == 1 and k >= Fraction(1, 2),
-                 f"k must be a multiple of 1/2 with k >= 1/2, got {k}")
-        _require((4 * l).denominator == 1,
-                 f"l must be a multiple of 1/4, got {l}")
-        if self.sector == "compact":
-            step = 2 * l - k
-            _require(step.denominator == 1 and step >= 0,
-                     f"compact labels need 2l-k a non-negative integer, got 2l-k = {step}")
-        else:
-            step = k - 2 * l
-            _require(step.denominator == 1 and step >= 0,
-                     f"noncompact labels need k-2l a non-negative integer, got k-2l = {step}")
-
-    @classmethod
-    def compact(cls, k, l) -> "AlgebraLabel":
-        return cls(as_fraction(k), as_fraction(l), "compact")
-
-    @classmethod
-    def noncompact(cls, k, l) -> "AlgebraLabel":
-        return cls(as_fraction(k), as_fraction(l), "noncompact")
-
-    @property
-    def kval(self) -> Fraction:
-        """Eigenvalue k(1-k) of the commuting element K."""
-        return self.k * (1 - self.k)
-
-    @property
-    def step(self) -> int:
-        """2l-k (compact) or k-2l (noncompact), as a plain integer."""
-        if self.sector == "compact":
-            return int(2 * self.l - self.k)
-        return int(self.k - 2 * self.l)
-
-    @property
-    def dim(self) -> int:
-        """Dimension 2l-k+1 of the compact representation."""
-        _require(self.sector == "compact", "only compact labels have a finite dimension")
-        return self.step + 1
-
-
-@dataclass(frozen=True)
-class Su2Label:
-    """Spin label j (non-negative multiple of 1/2)."""
-
-    j: Fraction
-    sector = "su2"
-    l = None  # the structure polynomial takes no second label
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", as_fraction(self.j))
-        _require((2 * self.j).denominator == 1 and self.j >= 0,
-                 f"j must be a non-negative multiple of 1/2, got {self.j}")
-
-    @property
-    def kval(self) -> Fraction:
-        """Eigenvalue j(j+1) of the quadratic Casimir."""
-        return self.j * (self.j + 1)
-
-    @property
-    def dim(self) -> int:
-        """Dimension 2j+1 of the spin-j representation."""
-        return int(2 * self.j) + 1
-
-
-@dataclass(frozen=True)
-class Su11Label:
-    """Discrete-series label k (2k a positive integer)."""
-
-    k: Fraction
-    sector = "su11"
-    l = None  # the structure polynomial takes no second label
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", as_fraction(self.k))
-        _require((2 * self.k).denominator == 1 and self.k > 0,
-                 f"k must be a positive multiple of 1/2, got {self.k}")
-
-    @property
-    def kval(self) -> Fraction:
-        """Eigenvalue k(1-k) of the quadratic Casimir."""
-        return self.k * (1 - self.k)
-
-
-AnyLabel = Union[AlgebraLabel, Su2Label, Su11Label]
+def _whole(x: Fraction, low: int = 0) -> bool:
+    """Whether ``x`` is an integer >= ``low``."""
+    return x.denominator == 1 and x >= low
 
 
 class Algebra(NamedTuple):
-    """One sector: [Q+, Q-] = c2 Q0^2 + c1 Q0 + c0 with ``structure(K, l) = (c0, c1, c2)``,
-    the Q0 eigenvalue of the lowest state as a function of the label, and
-    whether the representation is finite.
+    """One sector: its label and its polynomial [Q+, Q-] = c2 Q0^2 + c1 Q0 + c0.
 
-    ``structure`` takes exact rationals (K = k(1-k) and l of a label) or
-    per-state float arrays (the realized K and l of ``fock3``); the
+    The label takes the options ``names`` and must pass each of ``rules``, a
+    (test of the label, message) pair whose message is formatted with the
+    label's fields and ``step``.  ``step`` is the rational that the rules make a
+    non-negative integer; a finite representation has dimension ``step + 1``.
+    ``kval`` is K of the label, ``reference`` its closed-form Casimir value,
+    ``lowest`` the Q0 eigenvalue of the lowest state.
+
+    ``structure(K, l) = (c0, c1, c2)`` takes exact rationals (K and l of a
+    label) or per-state float arrays (the realized K and l of ``fock3``); the
     two-mode algebras ignore both.
     """
 
+    names: tuple[str, ...]
+    step: Callable
+    rules: tuple[tuple[Callable, str], ...]
+    kval: Callable
+    reference: Callable
     structure: Callable
     lowest: Callable
     finite: bool
 
 
+def _k_one_minus_k(x) -> Fraction:
+    return x.k * (1 - x.k)
+
+
+_K_RULE = (lambda x: _whole(2 * x.k, 1), "k must be a multiple of 1/2 with k >= 1/2, got {k}")
+_L_RULE = (lambda x: (4 * x.l).denominator == 1, "l must be a multiple of 1/4, got {l}")
+
 ALGEBRAS = {
-    "compact": Algebra(lambda K, l: (K - l * (l + 1), 2 * l - 1, 3),
-                       lambda label: label.k - label.l, True),
-    "noncompact": Algebra(lambda K, l: (-(K - l * (l - 1)), -(2 * l + 1), -3),
-                          lambda label: label.k - label.l, False),
-    "su2": Algebra(lambda K, l: (0, 2, 0), lambda label: -label.j, True),
-    "su11": Algebra(lambda K, l: (0, -2, 0), lambda label: label.k, False),
+    "compact": Algebra(
+        names=("k", "l"), step=lambda x: 2 * x.l - x.k,
+        rules=(_K_RULE, _L_RULE, (lambda x: _whole(2 * x.l - x.k), "compact labels need "
+                                  "2l-k a non-negative integer, got 2l-k = {step}")),
+        kval=_k_one_minus_k, reference=lambda x: x.l ** 3 + (x.l + 1) * (x.k * (1 - x.k) - 1) + 1,
+        structure=lambda K, l: (K - l * (l + 1), 2 * l - 1, 3),
+        lowest=lambda x: x.k - x.l, finite=True),
+    "noncompact": Algebra(
+        names=("k", "l"), step=lambda x: x.k - 2 * x.l,
+        rules=(_K_RULE, _L_RULE, (lambda x: _whole(x.k - 2 * x.l), "noncompact labels need "
+                                  "k-2l a non-negative integer, got k-2l = {step}")),
+        kval=_k_one_minus_k, reference=lambda x: x.l * (x.l - x.k ** 2),
+        structure=lambda K, l: (-(K - l * (l - 1)), -(2 * l + 1), -3),
+        lowest=lambda x: x.k - x.l, finite=False),
+    "su2": Algebra(
+        names=("j",), step=lambda x: 2 * x.j,
+        rules=((lambda x: _whole(2 * x.j), "j must be a non-negative multiple of 1/2, got {j}"),),
+        kval=lambda x: x.j * (x.j + 1), reference=lambda x: x.j * (x.j + 1),
+        structure=lambda K, l: (0, 2, 0), lowest=lambda x: -x.j, finite=True),
+    "su11": Algebra(
+        names=("k",), step=lambda x: 2 * x.k - 1,
+        rules=((lambda x: _whole(2 * x.k, 1), "k must be a positive multiple of 1/2, got {k}"),),
+        kval=_k_one_minus_k, reference=lambda x: x.k * (1 - x.k),
+        structure=lambda K, l: (0, -2, 0), lowest=lambda x: x.k, finite=False),
 }
 
 
-def structure_poly(label: AnyLabel) -> RationalPoly:
+@dataclass(frozen=True)
+class Label:
+    """Label of an irreducible representation of the ``ALGEBRAS`` sector ``sector``.
+
+    The sector's row names the fields the label takes (k and l, j, or k), as
+    exact rationals, and the rules they must pass; every other field stays
+    None.
+    """
+
+    sector: str
+    k: Optional[Fraction] = None
+    l: Optional[Fraction] = None
+    j: Optional[Fraction] = None
+
+    def __post_init__(self):
+        row = ALGEBRAS.get(self.sector)
+        if row is None:
+            raise InvalidLabelError(f"sector must be one of {', '.join(map(repr, ALGEBRAS))}, "
+                                    f"got {self.sector!r}")
+        for name in ("k", "l", "j"):
+            if name in row.names:
+                object.__setattr__(self, name, as_fraction(getattr(self, name)))
+            elif getattr(self, name) is not None:
+                raise InvalidLabelError(f"a {self.sector} label takes no {name}")
+        for test, message in row.rules:
+            if not test(self):
+                raise InvalidLabelError(message.format(**vars(self), step=row.step(self)))
+
+    @property
+    def kval(self) -> Fraction:
+        """K of the label: k(1-k), or j(j+1) for su2."""
+        return ALGEBRAS[self.sector].kval(self)
+
+    @property
+    def step(self) -> int:
+        """The sector's step (2l-k, k-2l, 2j or 2k-1) as a plain integer."""
+        return int(ALGEBRAS[self.sector].step(self))
+
+    @property
+    def dim(self) -> int:
+        """Dimension ``step + 1`` of a finite representation."""
+        _require(ALGEBRAS[self.sector].finite,
+                 f"{self.sector} labels have no finite dimension")
+        return self.step + 1
+
+
+def structure_poly(label: Label) -> RationalPoly:
     """Structure polynomial p with [raising, lowering] = p(diagonal)."""
     return RationalPoly(ALGEBRAS[label.sector].structure(label.kval, label.l))
 
@@ -193,7 +174,7 @@ class Representation:
     raising transition was dropped.
     """
 
-    label: AnyLabel
+    label: Label
     dim: int
     qp_sq: tuple[int, ...]
     q0_diag: tuple[Fraction, ...]
@@ -211,7 +192,7 @@ class Representation:
         return mask
 
 
-def ladder_rep(label: AnyLabel, dim: Optional[int] = None) -> Representation:
+def ladder_rep(label: Label, dim: Optional[int] = None) -> Representation:
     """The representation of ``label``; an infinite one truncated to ``dim`` states.
 
     The diagonal climbs in unit steps from the sector's lowest Q0, and the
@@ -272,24 +253,17 @@ class CasimirReport:
     value: float
     max_deviation: float
     exact_value: Fraction
-    reference_value: Optional[Fraction]
+    reference_value: Fraction
     matches_reference: bool
 
 
-def casimir_poly(label: AnyLabel) -> RationalPoly:
+def casimir_poly(label: Label) -> RationalPoly:
     return polyalg.discrete_antiderivative(structure_poly(label))
 
 
-def reference_casimir(label: AnyLabel) -> Fraction:
-    """Closed-form Casimir value used as an independent reference per family."""
-    if label.sector == "su2":
-        return label.j * (label.j + 1)
-    if label.sector == "su11":
-        return label.k * (1 - label.k)
-    k, l = label.k, label.l
-    if label.sector == "compact":
-        return l ** 3 + (l + 1) * (k * (1 - k) - 1) + 1
-    return l * (l - k ** 2)
+def reference_casimir(label: Label) -> Fraction:
+    """Closed-form Casimir value of the label, an independent reference."""
+    return ALGEBRAS[label.sector].reference(label)
 
 
 def casimir_value(rep: Representation) -> CasimirReport:
@@ -314,16 +288,11 @@ def casimir_value(rep: Representation) -> CasimirReport:
 # Serialization
 
 
-def _frac_str(x: Optional[Fraction]) -> Optional[str]:
-    return None if x is None else str(x)
-
-
 def label_fields(rep: Representation) -> dict:
     """Sector, label and dimension, the head of every ``rep``/``casimir`` document."""
     label = rep.label
     head = {"sector": label.sector}
-    head.update((f.name, _frac_str(getattr(label, f.name)))
-                for f in dataclasses.fields(label) if f.name != "sector")
+    head.update((name, str(getattr(label, name))) for name in ALGEBRAS[label.sector].names)
     head["dim"] = rep.dim
     return head
 
@@ -344,8 +313,8 @@ def rep_to_dict(rep: Representation) -> dict:
     doc["casimir"] = {
         "value": rep_c.value,
         "max_deviation": rep_c.max_deviation,
-        "exact": _frac_str(rep_c.exact_value),
-        "reference": _frac_str(rep_c.reference_value),
+        "exact": str(rep_c.exact_value),
+        "reference": str(rep_c.reference_value),
         "matches_reference": rep_c.matches_reference,
         "convention": polyalg.CASIMIR_CONVENTION,
     }

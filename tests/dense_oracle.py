@@ -165,7 +165,7 @@ def two_dim_family(k):
     infinitely many inequivalent representations of the same dimension.
     """
     k = as_fraction(k)
-    rep = reps.ladder_rep(reps.AlgebraLabel.compact(k, (k + 1) / 2))
+    rep = reps.ladder_rep(reps.Label("compact", k, (k + 1) / 2))
     if not (np.array_equal(rep.diag, [float((k - 1) / 2), float((k + 1) / 2)])
             and np.array_equal(rep.raising, [math.sqrt(float(2 * k))])):
         raise AssertionError("2-dimensional family disagrees with ladder_rep")
@@ -354,11 +354,11 @@ def commutator_apply(a, b, poly):
 def squared_norms(basis):
     """The factorial squared norms N_n of a monomial basis, from its label."""
     label, f = basis.label, math.factorial
-    if isinstance(label, reps.Su2Label):
+    if label.sector == "su2":
         twoj = int(2 * label.j)
         return [Fraction(f(n) * f(twoj - n)) for n in range(basis.size)]
     twok = int(2 * label.k)
-    if isinstance(label, reps.Su11Label):
+    if label.sector == "su11":
         return [Fraction(f(n) * f(n + twok - 1)) for n in range(basis.size)]
     if label.sector == "compact":
         return [Fraction(f(n) * f(n + twok - 1) * f(label.step - n)) for n in range(basis.size)]

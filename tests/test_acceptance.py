@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from quadalg import coherent, defosc, diffreal, fock3, measures, reps, spectrum
-from quadalg.reps import AlgebraLabel
+from quadalg.reps import Label
 
 from dense_oracle import (band_relation_residuals, casimir_scalar_exact, eigenspace_states,
                           realized_matrices, rep_matrices, signed_square, two_dim_family)
@@ -32,13 +32,13 @@ def _random_labels(rng, count):
             twok = int(rng.integers(1, 11))
             step = int(rng.integers(0, 20))          # compact dim <= 20
             k = F(twok, 2)
-            labels.append((AlgebraLabel.compact(k, (k + step) / 2), None))
+            labels.append((Label("compact", k, (k + step) / 2), None))
         else:
             twok = int(rng.integers(1, 9))
             step = int(rng.integers(0, 9))
             dim = int(rng.integers(2, 61))           # truncation <= 60
             k = F(twok, 2)
-            labels.append((AlgebraLabel.noncompact(k, (k - step) / 2), dim))
+            labels.append((Label("noncompact", k, (k - step) / 2), dim))
     return labels
 
 
@@ -61,7 +61,7 @@ def test_criterion_2_casimir_scalarity_and_value():
     for twok in range(1, 11):                        # k <= 5
         for step in range(0, 11):                    # 2l-k <= 10
             k = F(twok, 2)
-            label = AlgebraLabel.compact(k, (k + step) / 2)
+            label = Label("compact", k, (k + step) / 2)
             rc = reps.casimir_value(reps.ladder_rep(label))
             worst_dev = max(worst_dev, rc.max_deviation)
             worst_val = max(worst_val, abs(rc.value - float(rc.reference_value)))
@@ -84,7 +84,7 @@ def test_criterion_3_realization_equivalence():
     worst = 0.0
     n_checked = 0
     for k, l in compact_labels:
-        rep = reps.ladder_rep(AlgebraLabel.compact(k, l))
+        rep = reps.ladder_rep(Label("compact", k, l))
         m = rep_matrices(rep)
         for chain in eigenspace_states(compact, k, l):
             assert len(chain) == rep.dim
@@ -95,7 +95,7 @@ def test_criterion_3_realization_equivalence():
         n_checked += 1
     for k, l in [(F(1, 2), F(1, 4)), (1, F(1, 2))]:
         chain = eigenspace_states(noncompact, k, l)[0]
-        rep = rep_matrices(reps.ladder_rep(AlgebraLabel.noncompact(k, l), len(chain)))
+        rep = rep_matrices(reps.ladder_rep(Label("noncompact", k, l), len(chain)))
         sel = np.ix_(chain, chain)
         worst = max(worst, float(np.abs(noncompact_ops.qp[sel] - rep.qp).max()),
                     float(np.abs(noncompact_ops.q0[sel] - rep.q0).max()))
@@ -105,7 +105,7 @@ def test_criterion_3_realization_equivalence():
     for twok in range(1, 9):
         for step in range(0, 10):                    # dims <= 10
             k = F(twok, 2)
-            label = AlgebraLabel.compact(k, (k + step) / 2)
+            label = Label("compact", k, (k + step) / 2)
             bands, _ = diffreal.band_elements(diffreal.build_realization("compactQ", label))
             rep = reps.ladder_rep(label)
             exact_ok &= all(bands["qp"][n] == rep.qp_sq[n]
@@ -133,7 +133,7 @@ def test_criterion_4_degeneracy_theorem():
 def test_criterion_5_coherent_states():
     worst_resid = 0.0
     for k, l in [(F(1, 2), F(1, 4)), (1, F(1, 2)), (F(3, 2), F(1, 4))]:
-        label = AlgebraLabel.noncompact(k, l)
+        label = Label("noncompact", k, l)
         for alpha in (0.5, 1 + 1j, 3.0):
             state = coherent.bg_state(label, alpha)
             rep = reps.ladder_rep(label, state.truncation)
@@ -146,7 +146,7 @@ def test_criterion_5_coherent_states():
     for twok in range(1, 7):
         for step in range(0, 7):
             k = F(twok, 2)
-            label = AlgebraLabel.compact(k, (k + step) / 2)
+            label = Label("compact", k, (k + step) / 2)
             for par in (0.8, 1.6 + 0.5j):
                 st_a = coherent.perelomov_compact(label, par, form="alpha")
                 st_g = coherent.perelomov_compact(label, par, form="gamma")
@@ -173,7 +173,7 @@ def test_criterion_6_measure_verification():
     for twok in range(1, 9):                          # k <= 4
         for step in range(0, 9):                      # 2l-k <= 8
             k = F(twok, 2)
-            label = AlgebraLabel.compact(k, (k + step) / 2)
+            label = Label("compact", k, (k + step) / 2)
             report = measures.verify_compact_resolution(label)
             worst = max(worst, report.max_deviation)
 
@@ -197,7 +197,7 @@ def test_criterion_7_deformed_oscillator():
     for twok in range(1, 9):
         for step in range(0, 9):                      # 2l-k <= 8
             k = F(twok, 2)
-            osc = defosc.deform(reps.ladder_rep(AlgebraLabel.compact(k, (k + step) / 2)))
+            osc = defosc.deform(reps.ladder_rep(Label("compact", k, (k + step) / 2)))
             worst = max(worst, max(defosc.commutator_residuals(osc).values()))
     _report(7, "fermion check exact; oscillator commutator contract <= 1e-10",
             fermion.passed and worst <= 1e-10, f"worst {worst:.2e}")

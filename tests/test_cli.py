@@ -31,10 +31,24 @@ def test_rep_compact_json(capsys):
     assert doc["qp"][1][0] == pytest.approx(2 ** 0.5)
 
 
-def test_rep_invalid_label_exits_2(capsys):
-    code, _, err = run(capsys, "rep", "--sector", "compact", "--k", "1", "--l", "1/3")
-    assert code == 2
-    assert "l" in err
+@pytest.mark.parametrize("argv, message", [
+    (("rep", "--sector", "compact", "--k", "1/3", "--l", "1"),
+     "k must be a multiple of 1/2 with k >= 1/2, got 1/3"),
+    (("rep", "--sector", "compact", "--k", "1", "--l", "1/3"),
+     "l must be a multiple of 1/4, got 1/3"),
+    (("rep", "--sector", "compact", "--k", "1", "--l", "1/4"),
+     "compact labels need 2l-k a non-negative integer, got 2l-k = -1/2"),
+    (("deform", "--k", "2", "--l", "5/4"),
+     "compact labels need 2l-k a non-negative integer, got 2l-k = 1/2"),
+    (("casimir", "--sector", "noncompact", "--k", "1/2", "--l", "3/4"),
+     "noncompact labels need k-2l a non-negative integer, got k-2l = -1"),
+    (("rep", "--sector", "su2", "--j", "1/3"), "j must be a non-negative multiple of 1/2, got 1/3"),
+    (("casimir", "--sector", "su11", "--k", "0"), "k must be a positive multiple of 1/2, got 0"),
+    (("diffcheck", "--kind", "su2"), "--j is required for a su2 label"),
+    (("rep", "--sector", "compact", "--k", "1"), "--k and --l are required for a compact label"),
+])
+def test_rep_invalid_label_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_rep_su2(capsys):

@@ -16,7 +16,7 @@ from quadalg.coherent import (
     perelomov_noncompact,
 )
 from quadalg.errors import SeriesConvergenceError, TruncationError
-from quadalg.reps import AlgebraLabel
+from quadalg.reps import Label
 from quadalg import special
 from quadalg.special import confluent_neg, hyp0f2, hyp1f1, hyp2f0
 
@@ -134,7 +134,7 @@ def test_2f0_alternating_direction_matches_borel_value():
 
 
 def test_bg_state_alpha_zero():
-    label = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
+    label = Label("noncompact", F(1, 2), F(1, 4))
     state = bg_state(label, 0.0)
     assert state.truncation == 1
     assert state.coeffs[0] == 1.0
@@ -142,7 +142,7 @@ def test_bg_state_alpha_zero():
 
 
 def test_bg_state_cube_factorial_coefficients():
-    label = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
+    label = Label("noncompact", F(1, 2), F(1, 4))
     state = bg_state(label, 1.0)
     f = float(mp.hyper([], [1, 1], 1.0))
     assert state.norm_constant == pytest.approx(f ** -0.5, rel=1e-13)
@@ -156,7 +156,7 @@ def test_bg_state_cube_factorial_coefficients():
 @pytest.mark.parametrize("k,l", [(F(1, 2), F(1, 4)), (1, F(1, 2)), (F(3, 2), F(1, 4))])
 @pytest.mark.parametrize("alpha", [0.5, 1 + 1j, 3.0])
 def test_bg_eigen_residual(k, l, alpha):
-    label = AlgebraLabel.noncompact(k, l)
+    label = Label("noncompact", k, l)
     state = bg_state(label, alpha)
     rep = reps.ladder_rep(label, state.truncation)
     resid = np.linalg.norm(rep_matrices(rep).qm @ state.coeffs - alpha * state.coeffs) / abs(alpha)
@@ -164,7 +164,7 @@ def test_bg_eigen_residual(k, l, alpha):
 
 
 def test_bg_residual_decreases_with_dim():
-    label = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
+    label = Label("noncompact", F(1, 2), F(1, 4))
     alpha = 2.0
     resids = []
     for dim in range(6, 26, 2):
@@ -177,12 +177,12 @@ def test_bg_residual_decreases_with_dim():
 
 
 def test_bg_truncation_guard():
-    label = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
+    label = Label("noncompact", F(1, 2), F(1, 4))
     with pytest.raises(TruncationError):
         bg_state(label, 3.0, dim=4)
 
 
-def bg_overlap_series(label: AlgebraLabel, alpha: complex, alpha2: complex) -> complex:
+def bg_overlap_series(label: Label, alpha: complex, alpha2: complex) -> complex:
     """Overlap of two lowering-eigenstates via the gamma-form series.
 
     <alpha|alpha2> = 0F2(conj(alpha)*alpha2) / sqrt(0F2(|alpha|^2) *
@@ -197,7 +197,7 @@ def bg_overlap_series(label: AlgebraLabel, alpha: complex, alpha2: complex) -> c
 
 
 def test_bg_overlap_two_routes():
-    label = AlgebraLabel.noncompact(1, F(1, 2))
+    label = Label("noncompact", 1, F(1, 2))
     for a1, a2 in [(0.5, 1.5), (1 + 1j, 0.5 - 0.25j), (2.0, 2.0)]:
         s1 = bg_state(label, a1)
         s2 = bg_state(label, a2)
@@ -210,7 +210,7 @@ def test_bg_overlap_two_routes():
 
 
 def test_perelomov_noncompact_basics():
-    label = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
+    label = Label("noncompact", F(1, 2), F(1, 4))
     zero = perelomov_noncompact(label, 0.0, 6)
     assert zero.coeffs[0] == 1.0 and not np.any(zero.coeffs[1:])
     assert not zero.divergence_flag
@@ -228,7 +228,7 @@ def test_perelomov_noncompact_basics():
 
 
 def test_perelomov_compact_single_state():
-    label = AlgebraLabel.compact(F(1, 2), F(1, 4))
+    label = Label("compact", F(1, 2), F(1, 4))
     for alpha in (0.0, 2.5, 1 - 2j):
         state = perelomov_compact(label, alpha)
         assert state.truncation == 1
@@ -236,7 +236,7 @@ def test_perelomov_compact_single_state():
 
 
 def test_perelomov_compact_ratio_k1_l1():
-    label = AlgebraLabel.compact(1, 1)
+    label = Label("compact", 1, 1)
     alpha = 0.7
     state = perelomov_compact(label, alpha)
     assert state.truncation == 2
@@ -247,7 +247,7 @@ def _compact_labels():
     for twok in range(1, 7):
         for step in range(0, 7):
             k = F(twok, 2)
-            yield AlgebraLabel.compact(k, (k + step) / 2)
+            yield Label("compact", k, (k + step) / 2)
 
 
 def test_perelomov_compact_gamma_norm_formula():
@@ -278,13 +278,13 @@ def test_perelomov_compact_unit_norm():
 
 def test_perelomov_compact_gamma_rejects_zero():
     with pytest.raises(ValueError):
-        perelomov_compact(AlgebraLabel.compact(1, 1), 0.0, form="gamma")
+        perelomov_compact(Label("compact", 1, 1), 0.0, form="gamma")
 
 
 def test_gamma_and_alpha_forms_are_reversals():
     # with gamma = 1/alpha the two coefficient vectors agree up to reversal
     # and a global phase/modulus
-    label = AlgebraLabel.compact(F(3, 2), F(9, 4))
+    label = Label("compact", F(3, 2), F(9, 4))
     alpha = 0.8
     sa = perelomov_compact(label, alpha, form="alpha")
     sg = perelomov_compact(label, 1 / alpha, form="gamma")
@@ -292,7 +292,7 @@ def test_gamma_and_alpha_forms_are_reversals():
 
 
 def test_coefficients_csv(capsys):
-    label = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
+    label = Label("noncompact", F(1, 2), F(1, 4))
     state = bg_state(label, 0.5j, dim=6)
     code = main(["coherent", "--family=bg", "--k=1/2", "--l=1/4", "--param=0.5j", "--dim=6",
                  "--format=csv"])

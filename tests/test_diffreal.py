@@ -11,7 +11,7 @@ from quadalg import diffreal, reps
 from quadalg.diffreal import DiffOp, DiffRealization, band_elements, build_realization
 from quadalg.errors import BasisSpanError, InvalidLabelError
 from quadalg.polyalg import RationalPoly
-from quadalg.reps import AlgebraLabel
+from quadalg.reps import Label
 
 import dense_oracle as oracle
 from dense_oracle import apply, commutator_apply, rising, signed_square
@@ -29,7 +29,7 @@ def test_apply_basics():
 
 
 def test_su2_highest_weight_annihilation():
-    real = build_realization("su2", 1)
+    real = build_realization("su2", Label("su2", j=1))
     # raising operator is -z^2 d/dz + 2z; it kills z^2
     assert apply(real.qp, _poly(0, 0, 1)) == RationalPoly([])
     assert real.qp.terms[0] == (1, _poly(0, 0, -1))
@@ -37,14 +37,14 @@ def test_su2_highest_weight_annihilation():
 
 
 def test_compactQ_q0_operator():
-    real = build_realization("compactQ", AlgebraLabel.compact(1, 1))
+    real = build_realization("compactQ", Label("compact", 1, 1))
     # z d/dz + (k - l) with k = l = 1
     assert real.q0.terms == ((1, _poly(0, 1)), (0, RationalPoly([])))
     assert apply(real.q0, _poly(0, 1)) == _poly(0, 1)
 
 
 def test_noncompactQ_lowering_operator():
-    real = build_realization("noncompactQ", AlgebraLabel.noncompact(F(1, 2), F(1, 4)), size=4)
+    real = build_realization("noncompactQ", Label("noncompact", F(1, 2), F(1, 4)), size=4)
     # z^2 d^3 + 3 z d^2 + 1 d for this label
     assert real.qm.terms == ((3, _poly(0, 0, 1)), (2, _poly(0, 3)), (1, _poly(1)))
 
@@ -55,7 +55,7 @@ def test_order_cap():
 
 
 def test_matrix_elements_compact_11():
-    real = build_realization("compactQ", AlgebraLabel.compact(1, 1))
+    real = build_realization("compactQ", Label("compact", 1, 1))
     bands, _ = band_elements(real)
     assert bands["qp"][0] == 2                # squared element (1, 0) of sqrt(2)
     assert bands["q0"][0] == 0
@@ -64,15 +64,15 @@ def test_matrix_elements_compact_11():
 
 
 def test_matrix_elements_su11_half():
-    real = build_realization("su11", F(1, 2), size=4)
+    real = build_realization("su11", Label("su11", k=F(1, 2)), size=4)
     bands, _ = band_elements(real)
     assert bands["qm"][0] == 1                # element (0, 1)
     assert bands["qm"][1] == 4                # element (1, 2)
 
 
 def test_span_error_on_wrong_pairing():
-    good = build_realization("su2", 1)
-    wrong_basis = build_realization("su2", 2).basis
+    good = build_realization("su2", Label("su2", j=1))
+    wrong_basis = build_realization("su2", Label("su2", j=2)).basis
     with pytest.raises(BasisSpanError):
         band_elements(DiffRealization(good.q0, good.qp, good.qm, wrong_basis))
     with pytest.raises(BasisSpanError):
@@ -82,21 +82,21 @@ def test_span_error_on_wrong_pairing():
 @pytest.mark.parametrize("k", [0, F(1, 3), F(-1, 2), F(1, 4)])
 def test_su11_rejects_k_not_a_positive_half_integer(k):
     with pytest.raises(InvalidLabelError):
-        build_realization("su11", k, size=4)
+        build_realization("su11", Label("su11", k=k), size=4)
 
 
 def _compact_labels(max_dim):
     for twok in range(1, 7):
         for step in range(0, max_dim):
             k = F(twok, 2)
-            yield AlgebraLabel.compact(k, (k + step) / 2)
+            yield Label("compact", k, (k + step) / 2)
 
 
 def _noncompact_labels():
     for twok in range(1, 7):
         for step in range(0, 4):
             k = F(twok, 2)
-            yield AlgebraLabel.noncompact(k, (k - step) / 2)
+            yield Label("noncompact", k, (k - step) / 2)
 
 
 def test_exact_equivalence_with_matrices_compact():
@@ -126,8 +126,9 @@ def test_exact_equivalence_with_matrices_noncompact():
 def test_exact_equivalence_su2_su11():
     for twoj in range(0, 8):
         j = F(twoj, 2)
-        real = build_realization("su2", j)
-        rep = reps.ladder_rep(reps.Su2Label(j))
+        label = Label("su2", j=j)
+        real = build_realization("su2", label)
+        rep = reps.ladder_rep(label)
         bands, _ = band_elements(real)
         for n in range(rep.dim - 1):
             assert bands["qp"][n] == rep.qp_sq[n]
@@ -135,8 +136,9 @@ def test_exact_equivalence_su2_su11():
             assert bands["q0"][n] == signed_square(rep.q0_diag[n])
     for twok in range(1, 7):
         k = F(twok, 2)
-        real = build_realization("su11", k, size=9)
-        rep = reps.ladder_rep(reps.Su11Label(k), 9)
+        label = Label("su11", k=k)
+        real = build_realization("su11", label, size=9)
+        rep = reps.ladder_rep(label, 9)
         bands, _ = band_elements(real)
         for n in range(8):
             assert bands["qp"][n] == rep.qp_sq[n]
@@ -161,12 +163,12 @@ def _apply_poly_of_op(p: RationalPoly, op: DiffOp, target: RationalPoly) -> Rati
 
 def test_commutator_reproduces_structure_poly():
     # applied symbolically to each basis monomial: [qp, qm] = f(q0), exactly
-    cases = [("compactQ", AlgebraLabel.compact(F(3, 2), F(11, 4)), None),
-             ("compactQ", AlgebraLabel.compact(1, 3), None),
-             ("noncompactQ", AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 6),
-             ("noncompactQ", AlgebraLabel.noncompact(2, F(1, 2)), 6),
-             ("su2", F(5, 2), None),
-             ("su11", F(3, 2), 6)]
+    cases = [("compactQ", Label("compact", F(3, 2), F(11, 4)), None),
+             ("compactQ", Label("compact", 1, 3), None),
+             ("noncompactQ", Label("noncompact", F(1, 2), F(1, 4)), 6),
+             ("noncompactQ", Label("noncompact", 2, F(1, 2)), 6),
+             ("su2", Label("su2", j=F(5, 2)), None),
+             ("su11", Label("su11", k=F(3, 2)), 6)]
     for kind, label, size in cases:
         real = build_realization(kind, label, size)
         f = reps.structure_poly(real.basis.label)
@@ -177,7 +179,7 @@ def test_commutator_reproduces_structure_poly():
             assert lhs == rhs, (kind, label, n)
 
 
-def _eigenfunction_poly(label: AlgebraLabel, alpha: F, order: int) -> RationalPoly:
+def _eigenfunction_poly(label: Label, alpha: F, order: int) -> RationalPoly:
     """Truncated series sum_n alpha^n z^n / (n! (2k)_n (k-2l+1)_n), exact."""
     k = label.k
     s = label.step
@@ -193,9 +195,9 @@ def _fact(n):
     return out
 
 
-@pytest.mark.parametrize("label", [AlgebraLabel.noncompact(F(1, 2), F(1, 4)),
-                                   AlgebraLabel.noncompact(F(3, 2), F(1, 4)),
-                                   AlgebraLabel.noncompact(2, 1)])
+@pytest.mark.parametrize("label", [Label("noncompact", F(1, 2), F(1, 4)),
+                                   Label("noncompact", F(3, 2), F(1, 4)),
+                                   Label("noncompact", 2, 1)])
 def test_lowering_eigenfunction_series(label):
     # the truncated eigenfunction series of the lowering operator reproduces
     # itself one order lower: qm Psi_M = alpha * Psi_(M-1), exactly
@@ -213,13 +215,13 @@ def _realizations(draw):
     size = draw(st.integers(1, 32))
     k = F(draw(st.integers(1, 8)), 2)
     if kind == "su2":
-        return build_realization(kind, F(size - 1, 2))
+        return build_realization(kind, Label("su2", j=F(size - 1, 2)))
     if kind == "su11":
-        return build_realization(kind, k, size)
+        return build_realization(kind, Label("su11", k=k), size)
     if kind == "compactQ":
-        return build_realization(kind, AlgebraLabel.compact(k, (k + size - 1) / 2))
+        return build_realization(kind, Label("compact", k, (k + size - 1) / 2))
     step = draw(st.integers(0, 8))
-    return build_realization(kind, AlgebraLabel.noncompact(k, (k - step) / 2), size)
+    return build_realization(kind, Label("noncompact", k, (k - step) / 2), size)
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,14 +248,14 @@ def _any_realizations(draw):
     size = draw(st.integers(1, 150))
     k = F(draw(st.integers(1, 12)), 2)
     if kind == "su2":
-        real = build_realization(kind, F(size - 1, 2))
+        real = build_realization(kind, Label("su2", j=F(size - 1, 2)))
     elif kind == "su11":
-        real = build_realization(kind, k, size)
+        real = build_realization(kind, Label("su11", k=k), size)
     elif kind == "compactQ":
-        real = build_realization(kind, AlgebraLabel.compact(k, (k + size - 1) / 2))
+        real = build_realization(kind, Label("compact", k, (k + size - 1) / 2))
     else:
         step = draw(st.integers(0, 12))
-        real = build_realization(kind, AlgebraLabel.noncompact(k, (k - step) / 2), size)
+        real = build_realization(kind, Label("noncompact", k, (k - step) / 2), size)
     if draw(st.booleans()):
         name = draw(st.sampled_from(["q0", "qp", "qm"]))
         coeffs = draw(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=1, max_size=3))

@@ -178,7 +178,7 @@ def test_block_diagonality(compact888):
                                  (F(3, 2), F(7, 4)), (2, 3)])
 def test_compact_matches_closed_form_rep(compact888, k, l):
     ops = realized_matrices(compact888)
-    label = reps.AlgebraLabel.compact(k, l)
+    label = reps.Label("compact", k, l)
     rep = dense_oracle.rep_matrices(reps.ladder_rep(label))
     chains = eigenspace_states(compact888, k, l)
     assert len(chains) == (1 if k == F(1, 2) else 2)
@@ -197,7 +197,7 @@ def test_compact_matches_closed_form_rep(compact888, k, l):
 
 def test_noncompact_matches_closed_form_rep(noncompact888):
     ops = realized_matrices(noncompact888)
-    label = reps.AlgebraLabel.noncompact(F(1, 2), F(1, 4))
+    label = reps.Label("noncompact", F(1, 2), F(1, 4))
     chains = eigenspace_states(noncompact888, label.k, label.l)
     assert chains
     chain = chains[0]

@@ -18,7 +18,7 @@ from quadalg.measures import (
     perelomov_moment_targets,
     verify_compact_resolution,
 )
-from quadalg.reps import AlgebraLabel
+from quadalg.reps import Label
 from quadalg.special import _sum_2f0, confluent_neg, is_nonpos_int, termination_index
 
 from dense_oracle import rising
@@ -34,19 +34,19 @@ def test_rising_factorial():
 
 
 def test_bg_moment_examples():
-    lab = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
+    lab = Label("noncompact", F(1, 2), F(1, 4))
     assert bg_moment_targets(lab, 0)[-1].value == pytest.approx(1 / TWO_PI, rel=1e-15)
     # at this label both gamma ratios collapse to n!
     assert bg_moment_targets(lab, 1)[-1].value == pytest.approx(1 / TWO_PI, rel=1e-14)
-    lab2 = AlgebraLabel.noncompact(1, F(1, 2))
+    lab2 = Label("noncompact", 1, F(1, 2))
     # 2! * Gamma(4)/Gamma(2) * Gamma(3)/Gamma(1) over 2*pi
     assert bg_moment_targets(lab2, 2)[-1].value == pytest.approx(2 * 6 * 2 / TWO_PI, rel=1e-13)
 
 
 def test_bg_moment_ratio_identity_exact():
-    for lab in [AlgebraLabel.noncompact(F(1, 2), F(1, 4)),
-                AlgebraLabel.noncompact(F(3, 2), F(1, 4)),
-                AlgebraLabel.noncompact(3, F(1, 2))]:
+    for lab in [Label("noncompact", F(1, 2), F(1, 4)),
+                Label("noncompact", F(3, 2), F(1, 4)),
+                Label("noncompact", 3, F(1, 2))]:
         for n in range(21):
             t = bg_moment_targets(lab, n)[-1]
             expected = (F(math.factorial(n))
@@ -57,9 +57,9 @@ def test_bg_moment_ratio_identity_exact():
 
 
 def test_perelomov_moment_ratio_identity_exact():
-    for lab in [AlgebraLabel.noncompact(F(1, 2), F(1, 4)),
-                AlgebraLabel.noncompact(F(5, 2), F(3, 4)),
-                AlgebraLabel.noncompact(3, F(1, 2))]:
+    for lab in [Label("noncompact", F(1, 2), F(1, 4)),
+                Label("noncompact", F(5, 2), F(3, 4)),
+                Label("noncompact", 3, F(1, 2))]:
         for t in perelomov_moment_targets(lab, 30):
             n = t.n
             assert t.ratio_to_first == (F(math.factorial(n))
@@ -68,7 +68,7 @@ def test_perelomov_moment_ratio_identity_exact():
 
 def test_bg_moment_matches_coefficient_growth():
     # target(n)/target(0) is the reciprocal squared coefficient at unit parameter
-    lab = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
+    lab = Label("noncompact", F(1, 2), F(1, 4))
     state = bg_state(lab, 1.0)
     for n in range(8):
         ratio = abs(state.coeffs[0] / state.coeffs[n]) ** 2
@@ -78,9 +78,9 @@ def test_bg_moment_matches_coefficient_growth():
 def test_perelomov_moment_matches_coefficient_growth():
     # target(n)/target(0) is the reciprocal squared coefficient at unit parameter,
     # |c_n / c_0|^2 = (2k)_n (s+1)_n / n!
-    for lab in [AlgebraLabel.noncompact(F(1, 2), F(1, 4)),
-                AlgebraLabel.noncompact(F(3, 2), F(3, 4)),
-                AlgebraLabel.noncompact(F(5, 2), F(1, 4))]:
+    for lab in [Label("noncompact", F(1, 2), F(1, 4)),
+                Label("noncompact", F(3, 2), F(3, 4)),
+                Label("noncompact", F(5, 2), F(1, 4))]:
         state = perelomov_noncompact(lab, 1.0, 16)
         first = perelomov_moment_targets(lab, 0)[-1].value
         for n in range(12):
@@ -91,16 +91,16 @@ def test_perelomov_moment_matches_coefficient_growth():
 
 
 def test_perelomov_moment_examples():
-    lab = AlgebraLabel.noncompact(F(1, 2), F(1, 4))
+    lab = Label("noncompact", F(1, 2), F(1, 4))
     assert perelomov_moment_targets(lab, 0)[-1].value == pytest.approx(1 / math.pi, rel=1e-15)
     assert perelomov_moment_targets(lab, 1)[-1].value == pytest.approx(1 / math.pi, rel=1e-14)
-    for lab in [AlgebraLabel.noncompact(F(3, 2), F(3, 4)), AlgebraLabel.noncompact(2, 1)]:
+    for lab in [Label("noncompact", F(3, 2), F(3, 4)), Label("noncompact", 2, 1)]:
         values = [perelomov_moment_targets(lab, n)[-1].value for n in range(8)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_moment_targets_are_positive():
-    lab = AlgebraLabel.noncompact(2, F(1, 2))
+    lab = Label("noncompact", 2, F(1, 2))
     for n in range(12):
         assert bg_moment_targets(lab, n)[-1].value > 0
         assert perelomov_moment_targets(lab, n)[-1].value > 0
@@ -242,7 +242,7 @@ def _count_confluent_calls(monkeypatch) -> list:
 
 def test_resolution_evaluates_m_once_per_node(monkeypatch):
     nodes = _count_confluent_calls(monkeypatch)
-    report = verify_compact_resolution(AlgebraLabel.compact(2, 7))
+    report = verify_compact_resolution(Label("compact", 2, 7))
     assert len(nodes) == len(set(nodes))
     # the moments share their nodes, and evals still counts every node of each
     assert len(nodes) < sum(ch.evals for ch in report.checks)
@@ -319,19 +319,19 @@ def test_compact_moment_closed_form_is_one():
     for twok in range(1, 9):
         for step in range(0, 9):
             k = F(twok, 2)
-            label = AlgebraLabel.compact(k, (k + step) / 2)
+            label = Label("compact", k, (k + step) / 2)
             for n in range(step + 1):
                 assert compact_moment_closed_form(label, n) == 1
 
 
 def test_verify_compact_resolution_examples():
-    rep11 = verify_compact_resolution(AlgebraLabel.compact(1, 1))
+    rep11 = verify_compact_resolution(Label("compact", 1, 1))
     assert [c.n for c in rep11.checks] == [0, 1]
     for c in rep11.checks:
         assert c.moment == pytest.approx(1.0, abs=1e-8)
         assert c.evals > 0 and c.r_max > 0
 
-    single = verify_compact_resolution(AlgebraLabel.compact(F(1, 2), F(1, 4)))
+    single = verify_compact_resolution(Label("compact", F(1, 2), F(1, 4)))
     assert len(single.checks) == 1
     assert single.checks[0].moment == pytest.approx(1.0, abs=1e-9)
 
@@ -340,13 +340,13 @@ def test_verify_compact_resolution_subgrid():
     for twok in (1, 3, 6):
         for step in (0, 2, 5):
             k = F(twok, 2)
-            label = AlgebraLabel.compact(k, (k + step) / 2)
+            label = Label("compact", k, (k + step) / 2)
             report = verify_compact_resolution(label)
             assert report.max_deviation <= 1e-6, (label, report.max_deviation)
 
 
 def test_resolution_report_schema():
-    label = AlgebraLabel.compact(F(3, 2), F(5, 4))
+    label = Label("compact", F(3, 2), F(5, 4))
     report = verify_compact_resolution(label)
     docs = report.to_dicts()
     assert docs[0].keys() == {"k", "l", "n", "moment", "deviation", "quadrature"}
@@ -355,7 +355,7 @@ def test_resolution_report_schema():
 
 
 def test_explicit_r_max_is_used():
-    label = AlgebraLabel.compact(F(1, 2), F(1, 4))
+    label = Label("compact", F(1, 2), F(1, 4))
     report = verify_compact_resolution(label, QuadratureSpec(r_max=60.0))
     assert all(c.r_max == 60.0 for c in report.checks)
     assert report.max_deviation <= 1e-6
@@ -366,17 +366,17 @@ def test_quadrature_budget_failure_raises(monkeypatch):
     from quadalg.errors import QuadratureError
 
     monkeypatch.setattr(measures, "QUAD_LIMIT", 1)
-    label = AlgebraLabel.compact(4, 6)
+    label = Label("compact", 4, 6)
     with pytest.raises(QuadratureError):
         verify_compact_resolution(label, QuadratureSpec(abs_tol=1e-13))
 
 
 def test_moment_label_validation():
-    compact = AlgebraLabel.compact(1, 1)
+    compact = Label("compact", 1, 1)
     with pytest.raises(ValueError):
         bg_moment_targets(compact, 0)
     with pytest.raises(ValueError):
-        verify_compact_resolution(AlgebraLabel.noncompact(1, F(1, 2)))
+        verify_compact_resolution(Label("noncompact", 1, F(1, 2)))
 
 
 def test_kummer_analytic_pole_in_denominator_is_zero():

@@ -47,11 +47,11 @@ def noncompact_structure(k: Rat, l: Rat) -> RationalPoly:
 @given(st.integers(1, 40), st.integers(-60, 60), st.integers(0, 40))
 def test_structure_poly_equals_the_typed_polynomials(twok, fourl, twoj):
     k, l = F(twok, 2), F(fourl, 4)
-    assert reps.structure_poly(reps.Su2Label(F(twoj, 2))) == su2_structure()
-    assert reps.structure_poly(reps.Su11Label(k)) == su11_structure()
+    assert reps.structure_poly(reps.Label("su2", j=F(twoj, 2))) == su2_structure()
+    assert reps.structure_poly(reps.Label("su11", k=k)) == su11_structure()
     for sector, typed in (("compact", compact_structure), ("noncompact", noncompact_structure)):
         try:
-            label = reps.AlgebraLabel(k, l, sector)
+            label = reps.Label(sector, k, l)
         except InvalidLabelError:
             continue
         assert reps.structure_poly(label) == typed(k, l)
@@ -116,7 +116,7 @@ def test_antiderivative_property(coeffs, xs):
 
 
 def test_casimir_matrix_su2_half():
-    rep = reps.ladder_rep(reps.Su2Label(F(1, 2)))
+    rep = reps.ladder_rep(reps.Label("su2", j=F(1, 2)))
     g = discrete_antiderivative(su2_structure())
     c = casimir_matrix(rep_matrices(rep), g)
     assert np.array_equal(c, 0.75 * np.eye(2))
@@ -125,7 +125,7 @@ def test_casimir_matrix_su2_half():
 
 
 def test_casimir_matrix_compact_11_is_zero():
-    rep = reps.ladder_rep(reps.AlgebraLabel.compact(1, 1))
+    rep = reps.ladder_rep(reps.Label("compact", 1, 1))
     g = discrete_antiderivative(compact_structure(F(1), F(1)))
     c = casimir_matrix(rep_matrices(rep), g)
     assert np.abs(c).max() < 1e-12
@@ -146,7 +146,7 @@ def test_casimir_matrix_two_dim_family_k1():
 
 def test_casimir_matrix_rejects_mismatched_shapes():
     # the dense oracle must not broadcast matrices of different sizes
-    rep = reps.ladder_rep(reps.Su2Label(1))
+    rep = reps.ladder_rep(reps.Label("su2", j=1))
     m = rep_matrices(rep)
 
     class Broken:
@@ -159,10 +159,10 @@ def test_casimir_matrix_rejects_mismatched_shapes():
 
 
 @pytest.mark.parametrize("rep", [
-    reps.ladder_rep(reps.Su2Label(F(3, 2))),
-    reps.ladder_rep(reps.Su11Label(F(1, 2)), 8),
-    reps.ladder_rep(reps.AlgebraLabel.compact(F(3, 2), F(9, 4))),
-    reps.ladder_rep(reps.AlgebraLabel.noncompact(F(3, 2), F(1, 4)), 9),
+    reps.ladder_rep(reps.Label("su2", j=F(3, 2))),
+    reps.ladder_rep(reps.Label("su11", k=F(1, 2)), 8),
+    reps.ladder_rep(reps.Label("compact", F(3, 2), F(9, 4))),
+    reps.ladder_rep(reps.Label("noncompact", F(3, 2), F(1, 4)), 9),
 ])
 def test_both_casimir_forms_agree(rep):
     # lowering@raising + g(q0) must equal raising@lowering + g(q0 - 1)

@@ -1,41 +1,83 @@
 """Closed-form representation matrices: examples, invariants, serialization."""
 
+import argparse
 import json
 import math
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadalg import defosc, reps
+from quadalg import cli, defosc, reps
 from quadalg.errors import InvalidLabelError
 from quadalg.output import json_dumps
-from quadalg.reps import AlgebraLabel
+from quadalg.reps import Label
 
 import dense_oracle
 
 
-def test_label_validation():
-    AlgebraLabel.compact(F(1, 2), F(5, 4))
-    AlgebraLabel.noncompact(F(3, 2), F(1, 4))
-    with pytest.raises(InvalidLabelError):
-        AlgebraLabel.compact(F(1, 3), 1)           # k not a half-integer
-    with pytest.raises(InvalidLabelError):
-        AlgebraLabel.compact(1, F(1, 3))           # l not a quarter-integer
-    with pytest.raises(InvalidLabelError):
-        AlgebraLabel.compact(1, F(1, 4))           # 2l-k = -1/2
-    with pytest.raises(InvalidLabelError):
-        AlgebraLabel.compact(2, F(5, 4))           # 2l-k = 1/2, not integral
-    with pytest.raises(InvalidLabelError):
-        AlgebraLabel.noncompact(F(1, 2), F(3, 4))  # k-2l < 0
-    with pytest.raises(InvalidLabelError):
-        AlgebraLabel(1, 1, "bogus")
+@pytest.mark.parametrize("args, kwargs, message", [
+    (("compact", F(1, 3), 1), {}, "k must be a multiple of 1/2 with k >= 1/2, got 1/3"),
+    (("compact", 1, F(1, 3)), {}, "l must be a multiple of 1/4, got 1/3"),
+    (("compact", 1, F(1, 4)), {},
+     "compact labels need 2l-k a non-negative integer, got 2l-k = -1/2"),
+    (("compact", 2, F(5, 4)), {},
+     "compact labels need 2l-k a non-negative integer, got 2l-k = 1/2"),
+    (("noncompact", F(1, 2), F(3, 4)), {},
+     "noncompact labels need k-2l a non-negative integer, got k-2l = -1"),
+    (("su2",), {"j": F(1, 3)}, "j must be a non-negative multiple of 1/2, got 1/3"),
+    (("su2",), {"j": -1}, "j must be a non-negative multiple of 1/2, got -1"),
+    (("su2", 1), {"j": 1}, "a su2 label takes no k"),
+    (("su11",), {"k": 0}, "k must be a positive multiple of 1/2, got 0"),
+    (("su11",), {"k": F(1, 3)}, "k must be a positive multiple of 1/2, got 1/3"),
+    (("bogus", 1, 1), {},
+     "sector must be one of 'compact', 'noncompact', 'su2', 'su11', got 'bogus'"),
+])
+def test_label_validation(args, kwargs, message):
+    Label("compact", F(1, 2), F(5, 4))
+    Label("noncompact", F(3, 2), F(1, 4))
+    Label("su2", j=0)
+    Label("su11", k=F(1, 2))
+    with pytest.raises(InvalidLabelError) as err:
+        Label(*args, **kwargs)
+    assert str(err.value) == message
+
+
+def test_a_new_row_needs_no_other_edit(monkeypatch):
+    """A sector is its ``ALGEBRAS`` row: a copy of the su2 row under a new name
+    is a full sector for the label, the ladder, the Casimir, the JSON head and
+    the CLI label options."""
+    monkeypatch.setitem(reps.ALGEBRAS, "spin", reps.ALGEBRAS["su2"])
+    label = cli._label(argparse.Namespace(j=F(3, 2)), "spin")
+    assert label == Label("spin", j=F(3, 2)) and label.dim == 4
+    rep, twin = reps.ladder_rep(label), reps.ladder_rep(Label("su2", j=F(3, 2)))
+    assert (rep.qp_sq, rep.q0_diag) == (twin.qp_sq, twin.q0_diag)
+    report = reps.casimir_value(rep)
+    assert report.exact_value == report.reference_value == F(15, 4)
+    assert reps.label_fields(rep) == {"sector": "spin", "j": "3/2", "dim": 4}
+    with pytest.raises(InvalidLabelError, match="^j must be a non-negative multiple of 1/2"):
+        cli._label(argparse.Namespace(j=F(1, 3)), "spin")
+    with pytest.raises(InvalidLabelError, match="^--j is required for a spin label$"):
+        cli._label(argparse.Namespace(j=None), "spin")
+
+
+def test_readme_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    printed = capsys.readouterr().out.splitlines()
+    assert scope["rep"].dim == 3
+    assert printed[0] == str(reps.casimir_value(scope["rep"]).reference_value)
+    assert len(printed) == 2
 
 
 def test_compact_k1_l1():
-    rep = reps.ladder_rep(AlgebraLabel.compact(1, 1))
+    rep = reps.ladder_rep(Label("compact", 1, 1))
     m = dense_oracle.rep_matrices(rep)
     assert rep.dim == 2
     assert np.array_equal(np.diag(m.q0), [0.0, 1.0])
@@ -45,7 +87,7 @@ def test_compact_k1_l1():
 
 
 def test_compact_one_dimensional():
-    rep = reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(1, 4)))
+    rep = reps.ladder_rep(Label("compact", F(1, 2), F(1, 4)))
     m = dense_oracle.rep_matrices(rep)
     assert rep.dim == 1
     assert np.array_equal(np.diag(m.q0), [0.25])
@@ -53,7 +95,7 @@ def test_compact_one_dimensional():
 
 
 def test_compact_half_fivequarter_subdiagonal():
-    rep = reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(5, 4)))
+    rep = reps.ladder_rep(Label("compact", F(1, 2), F(5, 4)))
     assert rep.dim == 3
     assert rep.qp_sq == (F(2), F(4))
     qp = dense_oracle.rep_matrices(rep).qp
@@ -61,7 +103,7 @@ def test_compact_half_fivequarter_subdiagonal():
 
 
 def test_noncompact_half_quarter():
-    rep = reps.ladder_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 4)
+    rep = reps.ladder_rep(Label("noncompact", F(1, 2), F(1, 4)), 4)
     # ladder squares (n+1)^3, diagonal n + 1/4
     assert rep.qp_sq == (F(1), F(8), F(27))
     m = dense_oracle.rep_matrices(rep)
@@ -73,17 +115,17 @@ def test_noncompact_half_quarter():
 
 
 def test_su2_reps():
-    half = reps.ladder_rep(reps.Su2Label(F(1, 2)))
+    half = reps.ladder_rep(Label("su2", j=F(1, 2)))
     assert half.dim == 2 and dense_oracle.rep_matrices(half).qp[1, 0] == 1.0
-    zero = reps.ladder_rep(reps.Su2Label(0))
+    zero = reps.ladder_rep(Label("su2", j=0))
     m = dense_oracle.rep_matrices(zero)
     assert zero.dim == 1 and not np.any(m.qp) and not np.any(m.q0)
     with pytest.raises(InvalidLabelError):
-        reps.ladder_rep(reps.Su2Label(F(1, 3)))
+        reps.ladder_rep(Label("su2", j=F(1, 3)))
 
 
 def test_su11_rep():
-    rep = reps.ladder_rep(reps.Su11Label(F(1, 2)), 3)
+    rep = reps.ladder_rep(Label("su11", k=F(1, 2)), 3)
     assert rep.qp_sq == (F(1), F(4))
     m = dense_oracle.rep_matrices(rep)
     np.testing.assert_allclose([m.qp[1, 0], m.qp[2, 1]], [1.0, 2.0], rtol=0, atol=0)
@@ -122,13 +164,13 @@ def test_two_dim_family_inequivalence():
 
 
 def test_casimir_compact_values():
-    rep = reps.ladder_rep(AlgebraLabel.compact(1, 1))
+    rep = reps.ladder_rep(Label("compact", 1, 1))
     rc = reps.casimir_value(rep)
     assert rc.exact_value == 0 and rc.reference_value == 0
     assert abs(rc.value) < 1e-12 and rc.max_deviation < 1e-12
     assert rc.matches_reference
 
-    rep1 = reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(1, 4)))
+    rep1 = reps.ladder_rep(Label("compact", F(1, 2), F(1, 4)))
     rc1 = reps.casimir_value(rep1)
     closed = F(1, 64) + F(5, 4) * (F(1, 4) - 1) + 1
     assert rc1.reference_value == closed == F(5, 64)
@@ -137,7 +179,7 @@ def test_casimir_compact_values():
 
 
 def test_casimir_noncompact_reports_both_values():
-    rep = reps.ladder_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 8)
+    rep = reps.ladder_rep(Label("noncompact", F(1, 2), F(1, 4)), 8)
     rc = reps.casimir_value(rep)
     # antiderivative convention gives -1/64; the reference closed form l(l-k^2)
     # gives 0; they disagree and both must be visible
@@ -152,7 +194,7 @@ def _compact_labels(max_step=10, max_twok=10):
     for twok in range(1, max_twok + 1):
         for step in range(0, max_step + 1):
             k = F(twok, 2)
-            yield AlgebraLabel.compact(k, (k + step) / 2)
+            yield Label("compact", k, (k + step) / 2)
 
 
 def test_exact_squared_entries_compact():
@@ -172,13 +214,13 @@ def test_exact_squared_entries_compact():
 def test_ladder_rep_equals_the_factored_closed_forms(sector, twok, step, d):
     k = F(twok, 2)
     if sector == "su2":
-        label = reps.Su2Label(F(d - 1, 2))
+        label = Label("su2", j=F(d - 1, 2))
     elif sector == "su11":
-        label = reps.Su11Label(k)
+        label = Label("su11", k=k)
     elif sector == "compact":
-        label = AlgebraLabel.compact(k, (k + d - 1) / 2)
+        label = Label("compact", k, (k + d - 1) / 2)
     else:
-        label = AlgebraLabel.noncompact(k, (k - step) / 2)
+        label = Label("noncompact", k, (k - step) / 2)
     rep = reps.ladder_rep(label, d)
     assert rep.dim == d
     assert rep.qp_sq == tuple(dense_oracle.closed_form_squares(label, d))
@@ -195,7 +237,7 @@ def test_defining_relations_grid():
     for twok in range(1, 7):
         for step in range(0, 5):
             k = F(twok, 2)
-            label = AlgebraLabel.noncompact(k, (k - step) / 2)
+            label = Label("noncompact", k, (k - step) / 2)
             resid = dense_oracle.band_relation_residuals(reps.ladder_rep(label, 24))
             assert max(resid.values()) < 1e-10
 
@@ -211,7 +253,7 @@ def test_casimir_scalar_on_grid():
 @given(st.integers(1, 10), st.integers(0, 10))
 def test_compact_label_roundtrip(twok, step):
     k = F(twok, 2)
-    label = AlgebraLabel.compact(k, (k + step) / 2)
+    label = Label("compact", k, (k + step) / 2)
     assert label.dim == step + 1
     rep = reps.ladder_rep(label)
     assert rep.dim == step + 1
@@ -221,7 +263,7 @@ def test_compact_label_roundtrip(twok, step):
 
 
 def test_serialization_schema():
-    rep = reps.ladder_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 3)
+    rep = reps.ladder_rep(Label("noncompact", F(1, 2), F(1, 4)), 3)
     # qp/qm are pre-rendered JSON, so the schema is read from the written document
     doc = json.loads(json_dumps(reps.rep_to_dict(rep)))
     assert list(doc)[:3] == ["sector", "k", "l"]
@@ -233,7 +275,7 @@ def test_serialization_schema():
     assert doc["casimir"]["reference"] == "0"
     assert doc["casimir"]["matches_reference"] is False
 
-    doc2 = reps.rep_to_dict(reps.ladder_rep(reps.Su2Label(1)))
+    doc2 = reps.rep_to_dict(reps.ladder_rep(Label("su2", j=1)))
     assert doc2["sector"] == "su2" and doc2["j"] == "1"
 
 
@@ -244,34 +286,34 @@ def ladder_reps(draw):
     sector = draw(st.sampled_from(["compact", "noncompact", "su2", "su11"]))
     k = F(draw(st.integers(1, 12)), 2)
     if sector == "compact":
-        return reps.ladder_rep(AlgebraLabel.compact(k, (k + d - 1) / 2))
+        return reps.ladder_rep(Label("compact", k, (k + d - 1) / 2))
     if sector == "noncompact":
         step = draw(st.integers(0, 12))
-        return reps.ladder_rep(AlgebraLabel.noncompact(k, (k - step) / 2), d)
+        return reps.ladder_rep(Label("noncompact", k, (k - step) / 2), d)
     if sector == "su2":
-        return reps.ladder_rep(reps.Su2Label(F(d - 1, 2)))
-    return reps.ladder_rep(reps.Su11Label(k), d)
+        return reps.ladder_rep(Label("su2", j=F(d - 1, 2)))
+    return reps.ladder_rep(Label("su11", k=k), d)
 
 
 @settings(max_examples=150, deadline=None)
 @given(ladder_reps())
-@example(reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(1, 4))))
-@example(reps.ladder_rep(AlgebraLabel.noncompact(F(1, 2), F(1, 4)), 1))
-@example(reps.ladder_rep(AlgebraLabel.noncompact(F(3, 2), F(-1, 4)), 2))
+@example(reps.ladder_rep(Label("compact", F(1, 2), F(1, 4))))
+@example(reps.ladder_rep(Label("noncompact", F(1, 2), F(1, 4)), 1))
+@example(reps.ladder_rep(Label("noncompact", F(3, 2), F(-1, 4)), 2))
 def test_band_formulas_equal_dense_oracle(rep):
     # bit-identical, not approximately equal: the dense products only add exact zeros
     rc = reps.casimir_value(rep)
     assert (rc.value, rc.max_deviation) == dense_oracle.casimir_value(rep)
     assert dense_oracle.band_relation_residuals(rep) == dense_oracle.defining_relation_residuals(rep)
-    if isinstance(rep.label, AlgebraLabel) and rep.label.sector == "compact":
+    if rep.label.sector == "compact":
         osc = defosc.deform(rep)
         assert defosc.commutator_residuals(osc) == dense_oracle.commutator_residuals(rep, osc)
 
 
 @settings(max_examples=150, deadline=None)
 @given(ladder_reps())
-@example(reps.ladder_rep(AlgebraLabel.compact(F(1, 2), F(1, 4))))
-@example(reps.ladder_rep(reps.Su2Label(F(1, 2))))
+@example(reps.ladder_rep(Label("compact", F(1, 2), F(1, 4))))
+@example(reps.ladder_rep(Label("su2", j=F(1, 2))))
 def test_band_json_equals_dense_oracle(rep):
     # the oracle's dense matrices, serialized element by element
     qp, qm = dense_oracle.rep_ladder_matrices(rep)
