@@ -22,6 +22,7 @@ from .reps import (
     Representation,
     casimir_value,
     ladder_rep,
+    ladder_squares,
     structure_poly,
 )
 from .fock3 import FockSpace, RealizedOperators, realize, verify_realization

@@ -43,7 +43,6 @@ from .output import JSONFragment, json_dumps, write_csv
 
 DEFAULT_MAX_DIM = 4096
 REP_DIM = {"su11": 8}  # the default truncation of an infinite ``rep``/``casimir`` label
-DIFF_SECTORS = {"su2": "su2", "su11": "su11", "compactQ": "compact", "noncompactQ": "noncompact"}
 
 
 def _max_dim() -> int:
@@ -201,7 +200,7 @@ def _cmd_verify(args):
 
 
 def _cmd_diffcheck(args):
-    rep = reps.ladder_rep(*_sized_label(args, DIFF_SECTORS[args.kind], "size", 8))
+    rep = reps.ladder_rep(*_sized_label(args, diffreal.SECTORS[args.kind], "size", 8))
     real = diffreal.build_realization(args.kind, rep.label, rep.dim if rep.truncated else None)
     bands, off_diag_clean = diffreal.band_elements(real)
     # sign(x) x^2 of a reduced p/q is the reduced p|p|/q^2
@@ -363,7 +362,7 @@ COMMANDS = {
                        "help": "per-mode cutoffs, e.g. '8' or '8,8,8'"}),
         TOL)),
     "diffcheck": (_cmd_diffcheck, "differential realization vs matrix representation", (
-        ("--kind", {"choices": tuple(DIFF_SECTORS), "required": True}),
+        ("--kind", {"choices": tuple(diffreal.SECTORS), "required": True}),
         K, L, J,
         ("--size", {"type": int}))),
     "coherent": (_cmd_coherent, "coherent-state coefficients and normalization", (

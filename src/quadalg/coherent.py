@@ -2,47 +2,56 @@
 
 The lowering-eigenstate (Barut-Girardello type) family and the two
 exponential-orbit (Perelomov type) families are built as coefficient vectors
-over the representation bases of :mod:`quadalg.reps`.  Normalisations go
-through the matching hypergeometric series of :mod:`quadalg.special`: 0F2
-for the eigenstates, a terminating confluent series for the compact orbit
-states, and a formally divergent 2F0 for the noncompact orbit states, which
-is only ever used as an optimally truncated asymptotic sum with explicit
-metadata.
+over the representation bases of :mod:`quadalg.reps`, from the exact ladder
+squares ``qp_sq[n]`` of :func:`quadalg.reps.ladder_squares` alone.  Every
+family is one walk c_(n+1) = c_n * f_n from c_0 = 1:
 
-Gamma factors are evaluated through the standard log-gamma routine
-(`math.lgamma`); every argument occurring here is a positive half-integer
-plus a small integer, far inside its accurate range.
+* eigenstates: f_n = alpha / sqrt(qp_sq[n]);
+* orbit states (both sectors): f_n = zeta * sqrt(qp_sq[n] / (n+1)^2);
+* the inverse-parameter compact form is the orbit walk at 1/gamma, reversed.
+
+The walk carries a power-of-two exponent beside each coefficient, so no
+coefficient or norm overflows or underflows on the way; the norm is one
+``math.fsum``.  ``provenance`` names the hypergeometric series the squared
+norm equals (0F2, the divergent 2F0 of the noncompact orbit states, a
+terminating 2F0 or 1F1 for the compact ones) and reports its log, which
+stays finite where the norm constant itself leaves the doubles.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import TruncationError
-from .reps import Label
-from .special import HypergeomResult, hyp0f2, hyp1f1, hyp2f0
+from .reps import Label, ladder_squares
+from .special import hyp2f0
+
+LOW, HIGH = 2.0 ** -500, 2.0 ** 500  # the exponent takes over when |c| leaves this range
 
 
 @dataclass
 class CoherentState:
-    """Normalised coefficient vector of a coherent state over a rep basis.
+    """Unit-norm coefficient vector of a coherent state over a rep basis.
 
-    ``provenance`` records which series produced ``norm_constant``.  For the
-    noncompact orbit family the norm series diverges for any non-zero
-    parameter; the truncated vector is still normalised to one, and
-    ``divergence_flag`` marks that the underlying series is asymptotic only.
+    ``norm_constant`` is 1/|unnormalised vector|, or None when that is not a
+    normal double; ``provenance["log_norm_sq"]`` always holds the log of the
+    squared norm.  For the noncompact orbit family the norm series diverges
+    for any non-zero parameter; the truncated vector is still normalised to
+    one, and ``divergence_flag`` marks that the series is asymptotic only.
     """
 
     family: str
     label: Label
     parameter: complex
     coeffs: np.ndarray
-    norm_constant: float
+    norm_constant: Optional[float]
     truncation: int
     divergence_flag: bool
     provenance: dict = field(default_factory=dict)
@@ -52,40 +61,59 @@ class CoherentState:
         return float(np.linalg.norm(self.coeffs))
 
 
-def _bg_walk(label: Label, asq: float):
-    """Partial sums of the eigenstate squared-norm series sum_n t_n at |alpha|^2 = asq.
+def _split(z: complex) -> tuple[complex, int]:
+    """``(m, e)`` with z = m * 2**e exactly and the larger part of m in [1/2, 1)."""
+    e = math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e
 
-    Yields (n, ratio, t, total) for n = 0, 1, ...: ``total`` sums the first n
-    terms, ``t`` is t_n and ``ratio`` is t_(n+1)/t_n.
+
+def _walk(zeta: tuple[complex, int], gains: Iterable[float],
+          step=operator.mul) -> Iterator[tuple[complex, int]]:
+    """c_0 = 1, c_(n+1) = step(c_n * zeta, gains[n]), each as (m, e) with c = m * 2**e.
+
+    ``zeta`` comes split by :func:`_split`; the exponent absorbs |m| whenever
+    it leaves [2^-500, 2^500], so every m stays a normal double.
     """
-    k = float(label.k)
-    s = label.step
-    n, t, total = 0, 1.0, 0.0
-    while True:
-        ratio = asq / ((n + 1) * (n + 2 * k) * (n + s + 1))
-        yield n, ratio, t, total
-        total += t
-        t *= ratio
-        n += 1
+    zm, ze = zeta
+    m, e = 1 + 0j, 0
+    yield m, e
+    for g in gains:
+        m, e = step(m * zm, g), e + ze
+        if not LOW <= abs(m) <= HIGH:
+            m, shift = _split(m)
+            e += shift
+        yield m, e
 
 
-def _bg_choose_dim(label: Label, alpha: complex, tail_rel: float, max_dim: int) -> int:
-    asq = abs(alpha) ** 2
-    if asq == 0.0:
-        return 1
-    for n, ratio, t, total in islice(_bg_walk(label, asq), 1, max_dim + 1):
-        if ratio < 0.5 and t / (1 - ratio) <= tail_rel * total:
-            return n
-    raise TruncationError(f"no truncation below {max_dim} reaches tail {tail_rel:g} for |alpha|={abs(alpha):g}")
+def _unit(walked: list[tuple[complex, int]]) -> tuple[np.ndarray, float, Optional[float]]:
+    """The unit vector of walked coefficients, the log of their squared norm and
+    the norm constant (None unless a normal double)."""
+    mant, exps = map(np.array, zip(*walked))
+    top = int((exps + np.frexp(np.abs(mant))[1]).max())  # 2**top / 2 <= max |c_n| < 2**top
+    shift = exps - top
+    norm = math.sqrt(math.fsum((np.ldexp(mant.real, shift) ** 2).tolist()
+                               + (np.ldexp(mant.imag, shift) ** 2).tolist()))  # |c| / 2**top
+    coeffs = np.empty(len(walked), dtype=complex)
+    coeffs.real, coeffs.imag = np.ldexp(mant.real / norm, shift), np.ldexp(mant.imag / norm, shift)
+    const = math.ldexp(1 / norm, -top)
+    return coeffs, 2 * (math.log(norm) + top * math.log(2)), (
+        const if const >= sys.float_info.min else None)
 
 
-def _bg_tail_bound(label: Label, alpha: complex, dim: int) -> float:
-    """Upper bound on the dropped share of the squared norm past ``dim``."""
-    asq = abs(alpha) ** 2
-    if asq == 0.0:
-        return 0.0
-    _, ratio, t, total = next(islice(_bg_walk(label, asq), dim, None))
-    return math.inf if ratio >= 1.0 else (t / (1 - ratio)) / total
+def _state(family: str, label: Label, parameter: complex, walked, divergent: bool,
+           series: str, parameters: list, argument: float, **extra) -> CoherentState:
+    coeffs, log_norm_sq, const = _unit(walked)
+    return CoherentState(
+        family=family, label=label, parameter=parameter, coeffs=coeffs,
+        norm_constant=const, truncation=len(coeffs), divergence_flag=divergent,
+        provenance={"series": series, "parameters": parameters, "argument": argument,
+                    "terms": len(coeffs), "log_norm_sq": log_norm_sq, **extra},
+    )
+
+
+def _orbit_gains(squares: Iterable[int]) -> Iterator[float]:
+    """sqrt(qp_sq[n] / (n+1)^2), the orbit walk's step without its parameter."""
+    return (math.sqrt(q / (n + 1) ** 2) for n, q in enumerate(squares))
 
 
 def bg_state(label: Label, alpha: complex, dim: Optional[int] = None,
@@ -95,36 +123,38 @@ def bg_state(label: Label, alpha: complex, dim: Optional[int] = None,
     With ``dim=None`` the truncation is chosen so the dropped tail of the
     squared norm is below ``tail_rel`` (default 1e-26, which keeps the
     eigenvalue residual near float noise).  An explicit ``dim`` is checked
-    against ``tail_rel`` (default 1e-12) and rejected if too small.
+    against ``tail_rel`` (default 1e-12) and rejected if too small.  The
+    walk reads the tail as it goes: the squared terms t_n shrink by
+    r_n = |alpha|^2 / qp_sq[n], so past r_n < 1 the tail from n on is at most
+    t_n / (1 - r_n), against the sum before n, which is ``before`` * t_n.
     """
     if label.sector != "noncompact":
         raise ValueError("eigenstates of the lowering generator need a noncompact label")
+    if dim is not None and dim < 1:
+        raise ValueError("truncation dimension must be >= 1")
     alpha = complex(alpha)
-    if dim is None:
-        dim = _bg_choose_dim(label, alpha, 1e-26 if tail_rel is None else tail_rel, max_dim)
-    else:
-        bound = _bg_tail_bound(label, alpha, dim)
-        if bound > (1e-12 if tail_rel is None else tail_rel):
-            raise TruncationError(
-                f"truncation {dim} leaves a relative norm tail {bound:.3e} for |alpha|={abs(alpha):g}")
-
-    k = float(label.k)
-    s = label.step
-    coeffs = np.zeros(dim, dtype=complex)
-    c = 1.0 + 0.0j
-    for n in range(dim):
-        coeffs[n] = c
-        c = c * alpha / math.sqrt((n + 1) * (n + 2 * k) * (n + s + 1))
-    norm_series = hyp0f2(2 * k, s + 1, abs(alpha) ** 2)
-    n_const = 1.0 / math.sqrt(norm_series.value)
-    coeffs *= n_const
-    return CoherentState(
-        family="BG", label=label, parameter=alpha, coeffs=coeffs,
-        norm_constant=n_const, truncation=dim, divergence_flag=False,
-        provenance={"series": "0F2", "parameters": [2 * k, s + 1.0],
-                    "argument": abs(alpha) ** 2, "terms": norm_series.terms,
-                    "value": norm_series.value},
-    )
+    asq = abs(alpha) ** 2
+    tail_rel = (1e-26 if dim is None else 1e-12) if tail_rel is None else tail_rel
+    squares, later = itertools.tee(ladder_squares(label))
+    walk = _walk(_split(alpha), map(math.sqrt, squares), operator.truediv)
+    walked, before = [], 0.0
+    for n, (c, q) in enumerate(zip(walk, later)):
+        ratio = asq / q
+        if n == dim:
+            bound = 1 / ((1 - ratio) * before) if ratio < 1 else math.inf
+            if bound > tail_rel:
+                raise TruncationError(f"truncation {dim} leaves a relative norm tail "
+                                      f"{bound:.3e} for |alpha|={abs(alpha):g}")
+            break
+        if dim is None and n and ratio < 0.5 and 1 / (1 - ratio) <= tail_rel * before:
+            break
+        if dim is None and n == max_dim:
+            raise TruncationError(f"no truncation below {max_dim} reaches tail {tail_rel:g} "
+                                  f"for |alpha|={abs(alpha):g}")
+        walked.append(c)
+        before = (before + 1) / ratio if ratio else math.inf
+    k, s = float(label.k), label.step
+    return _state("BG", label, alpha, walked, False, "0F2", [2 * k, s + 1.0], asq)
 
 
 def perelomov_noncompact(label: Label, beta: complex, dim: int) -> CoherentState:
@@ -140,89 +170,41 @@ def perelomov_noncompact(label: Label, beta: complex, dim: int) -> CoherentState
     if dim < 1:
         raise ValueError("truncation dimension must be >= 1")
     beta = complex(beta)
-    k = float(label.k)
-    s = label.step
-    coeffs = np.zeros(dim, dtype=complex)
-    c = 1.0 + 0.0j
-    norm_sq = 0.0
-    for n in range(dim):
-        coeffs[n] = c
-        norm_sq += abs(c) ** 2
-        c = c * beta * math.sqrt((2 * k + n) * (s + 1 + n) / (n + 1))
+    k, s = float(label.k), label.step
+    walked = list(_walk(_split(beta), _orbit_gains(itertools.islice(ladder_squares(label),
+                                                                    dim - 1))))
     asym = hyp2f0(2 * k, s + 1, abs(beta) ** 2, dim)
-    n_const = 1.0 / math.sqrt(norm_sq)
-    coeffs *= n_const
-    return CoherentState(
-        family="PerelomovNC", label=label, parameter=beta, coeffs=coeffs,
-        norm_constant=n_const, truncation=dim, divergence_flag=(beta != 0),
-        provenance={"series": "2F0-truncated", "parameters": [2 * k, s + 1.0],
-                    "argument": abs(beta) ** 2, "order": dim,
-                    "partial_sum": norm_sq,
-                    "smallest_term_index": asym.smallest_term_index,
-                    "error_estimate": asym.error_estimate},
-    )
-
-
-def compact_norm_sq_formula(label: Label, gamma_abs: float) -> tuple[float, HypergeomResult]:
-    """Squared norm of the unnormalised inverse-parameter orbit sum.
-
-    Evaluates |g|^(2(k-2l)) * Gamma(k+2l) * Phi(k-2l, 1-2l-k; |g|^2) /
-    Gamma(2k); the confluent series terminates after 2l-k+1 terms.  Verified
-    against the explicit finite sum in the tests.
-    """
-    k, l = float(label.k), float(label.l)
-    s = label.step
-    phi = hyp1f1(-float(s), 1.0 - s - 2 * k, gamma_abs ** 2)
-    value = (gamma_abs ** (-2 * s)
-             * math.exp(math.lgamma(k + 2 * l) - math.lgamma(2 * k))
-             * phi.value)
-    return value, phi
+    return _state("PerelomovNC", label, beta, walked, beta != 0, "2F0-truncated",
+                  [2 * k, s + 1.0], abs(beta) ** 2, order=dim,
+                  smallest_term_index=asym.smallest_term_index,
+                  error_estimate=asym.error_estimate)
 
 
 def perelomov_compact(label: Label, parameter: complex,
                       form: str = "alpha") -> CoherentState:
-    """Finite orbit-type state of the compact algebra.
+    """Finite orbit-type state of the compact algebra, normalised to unit norm.
 
-    ``form='alpha'`` builds the direct finite sum; ``form='gamma'`` builds
-    the inverse-parameter variant whose normalisation has the closed
-    confluent form (it requires a non-zero parameter).  Both are exactly
-    normalised to unit norm.
+    ``form='alpha'`` walks the finite sum at the parameter; its squared norm
+    is the terminating 2F0(2k, -s; -|alpha|^2).  ``form='gamma'`` is the
+    inverse-parameter variant (it requires a non-zero parameter): the alpha
+    walk at 1/gamma, reversed, with squared norm
+    |gamma|^(-2s) (2k)_s 1F1(-s; 1-s-2k; |gamma|^2).  1/gamma is taken as a
+    mantissa and an exponent, so it never overflows.
     """
     if label.sector != "compact":
         raise ValueError("this family needs a compact label")
     if form not in ("alpha", "gamma"):
         raise ValueError(f"form must be 'alpha' or 'gamma', got {form!r}")
     par = complex(parameter)
-    k = float(label.k)
-    s = label.step
-    dim = label.dim
-    coeffs = np.zeros(dim, dtype=complex)
+    k, s = float(label.k), label.step
     if form == "alpha":
-        c = 1.0 + 0.0j
-        for n in range(dim):
-            coeffs[n] = c
-            if n < dim - 1:
-                c = c * par * math.sqrt((2 * k + n) * (s - n) / (n + 1))
-        with np.errstate(over="ignore"):  # an overflow is left for the non-finite gate
-            norm_sq = float(np.sum(np.abs(coeffs) ** 2))
-        provenance = {"series": "finite-sum", "terms": dim, "norm_sq": norm_sq}
-    else:
-        if par == 0:
-            raise ValueError("the inverse-parameter form needs a non-zero parameter")
-        c = par ** (-s) * math.sqrt(
-            math.exp(math.lgamma(s + 2 * k) - math.lgamma(2 * k)))
-        for n in range(dim):
-            coeffs[n] = c
-            if n < dim - 1:
-                c = c * par * math.sqrt((s - n) / ((n + 1) * (s + 2 * k - 1 - n)))
-        norm_sq, phi = compact_norm_sq_formula(label, abs(par))
-        provenance = {"series": "1F1", "parameters": [-float(s), 1.0 - s - 2 * k],
-                      "argument": abs(par) ** 2, "terms": phi.terms,
-                      "value": phi.value, "norm_sq": norm_sq}
-    n_const = 1.0 / math.sqrt(norm_sq)
-    coeffs *= n_const
-    return CoherentState(
-        family="PerelomovC", label=label, parameter=par, coeffs=coeffs,
-        norm_constant=n_const, truncation=dim, divergence_flag=False,
-        provenance=provenance,
-    )
+        walked = list(_walk(_split(par), _orbit_gains(ladder_squares(label))))
+        return _state("PerelomovC", label, par, walked, False, "2F0",  # 0.0 - x: never -0
+                      [2 * k, -float(s)], 0.0 - abs(par) ** 2)
+    if par == 0:
+        raise ValueError("the inverse-parameter form needs a non-zero parameter")
+    pm, pe = _split(par)
+    im, ie = _split(1 / pm)
+    walked = list(_walk((im, ie - pe), _orbit_gains(ladder_squares(label))))[::-1]
+    return _state("PerelomovC", label, par, walked, False, "1F1",
+                  [-float(s), 1.0 - s - 2 * k], abs(par) ** 2)

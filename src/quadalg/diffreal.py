@@ -22,6 +22,7 @@ from .polyalg import RationalPoly
 from .reps import Label
 
 MAX_ORDER = 3
+SECTORS = {"su2": "su2", "su11": "su11", "compactQ": "compact", "noncompactQ": "noncompact"}
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,14 @@ def _op(*terms: tuple[int, list]) -> DiffOp:
 def build_realization(kind: str, label: Label, size: Optional[int] = None) -> DiffRealization:
     """Generator triple and monomial basis for one of the four families.
 
-    ``kind`` is one of 'su2', 'su11', 'compactQ', 'noncompactQ', and ``label``
-    a :class:`~quadalg.reps.Label` of its sector.  ``size`` is required for the
-    infinite families (su11, noncompactQ).
+    ``kind`` is a key of ``SECTORS`` and ``label`` a :class:`~quadalg.reps.Label`
+    of its sector.  ``size`` is required for the infinite families (su11,
+    noncompactQ).
     """
+    if kind not in SECTORS:
+        raise ValueError(f"unknown realization kind {kind!r}")
+    if label.sector != SECTORS[kind]:
+        raise InvalidLabelError(f"{kind} needs a {SECTORS[kind]} label")
     if kind == "su2":
         j = label.j
         twoj = int(2 * j)
@@ -102,8 +107,6 @@ def build_realization(kind: str, label: Label, size: Optional[int] = None) -> Di
         return DiffRealization(q0, qp, qm, MonomialBasis(label, ratios, size, True))
 
     if kind == "compactQ":
-        if label.sector != "compact":
-            raise InvalidLabelError("compactQ needs a compact label")
         k, l = label.k, label.l
         twok, step = int(2 * k), label.step
         q0 = _op((1, [0, 1]), (0, [k - l]))
@@ -114,8 +117,6 @@ def build_realization(kind: str, label: Label, size: Optional[int] = None) -> Di
         return DiffRealization(q0, qp, qm, MonomialBasis(label, ratios, label.dim, False))
 
     if kind == "noncompactQ":
-        if label.sector != "noncompact":
-            raise InvalidLabelError("noncompactQ needs a noncompact label")
         if size is None or size < 1:
             raise ValueError("noncompactQ basis is infinite; a positive size is required")
         k, l = label.k, label.l
@@ -127,8 +128,6 @@ def build_realization(kind: str, label: Label, size: Optional[int] = None) -> Di
         # N_n = n! (n+2k-1)! (n+k-2l)!
         ratios = tuple(Fraction((n + 1) * (n + twok) * (n + 1 + step)) for n in range(size - 1))
         return DiffRealization(q0, qp, qm, MonomialBasis(label, ratios, size, True))
-
-    raise ValueError(f"unknown realization kind {kind!r}")
 
 
 def _image(terms: list[tuple[int, int, int]], n: int) -> dict[int, int]:

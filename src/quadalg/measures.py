@@ -3,7 +3,8 @@
 The angular integration is done analytically (each diagonal moment picks up
 2*pi), so only radial integrals are numerical.  For the noncompact families
 the would-be closed-form densities are never evaluated; verification is
-restated as the moment conditions they were derived from.  For the compact
+restated as the moment conditions they were derived from, whose exact
+ratios to n = 0 the ladder squares carry from n to n+1.  For the compact
 family the measure is fully computable and each moment must equal 1, which
 is also provable exactly by gamma-ratio cancellation -- giving an
 independent symbolic route against which the quadrature is checked.
@@ -18,12 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import QuadratureError
-from .reps import Label
+from .reps import Label, ladder_squares
 from .special import confluent_neg, is_nonpos_int
 
 TWO_PI = 2.0 * math.pi
@@ -38,45 +40,48 @@ QUAD_LIMIT = 800  # subinterval budget of one adaptive quadrature
 class MomentTarget:
     """One radial moment condition: label, moment index, positive target value.
 
-    ``ratio_to_first`` is the exact rational value of target(n)/target(0).
+    ``ratio_to_first`` is the exact rational value of target(n)/target(0);
+    ``value`` is its float times target(0), or None if that is no normal double.
     """
 
     label: Label
     n: int
-    value: float
+    value: Optional[float]
     ratio_to_first: Fraction
 
 
-def _moment_targets(label: Label, max_n: int, sign: int, scale: float) -> list[MomentTarget]:
-    """Targets n = 0..max_n, scale * n! ((2k)_n (s+1)_n)^sign / (2*pi).
+def _moment_targets(label: Label, max_n: int, first: float, bg: bool) -> list[MomentTarget]:
+    """Targets n = 0..max_n, ``first`` times the exact ratio n! ((2k)_n (s+1)_n)^(+-1).
 
-    The gamma ratios go through log-gammas; the exact ratio to n = 0 is
-    carried from n to n+1 by the one rational factor (n+1) ((2k+n)(s+n+1))^sign.
+    The ratio goes from n to n+1 by the ladder square qp_sq[n] =
+    (n+1)(2k+n)(s+n+1) for the eigenstates (``bg``), by (n+1)^2 / qp_sq[n]
+    for the orbit states.
     """
     if label.sector != "noncompact":
         raise ValueError("moment targets need a noncompact label")
     if max_n < 0:
         raise ValueError("moment index must be >= 0")
-    k, s = float(label.k), label.step
     ratio = Fraction(1)
     targets = []
-    for n in range(max_n + 1):
-        value = math.exp(math.lgamma(n + 1)
-                         + sign * math.lgamma(2 * k + n) - sign * math.lgamma(2 * k)
-                         + sign * math.lgamma(s + 1 + n) - sign * math.lgamma(s + 1.0))
-        targets.append(MomentTarget(label, n, scale * value / TWO_PI, ratio))
-        ratio *= (n + 1) * ((2 * label.k + n) * (s + n + 1)) ** sign
+    for n, q in zip(range(max_n + 1), ladder_squares(label)):
+        try:
+            value = float(ratio) * first
+        except OverflowError:
+            value = 0.0
+        targets.append(MomentTarget(label, n, value if value >= sys.float_info.min else None,
+                                    ratio))
+        ratio *= q if bg else Fraction((n + 1) ** 2, q)
     return targets
 
 
 def bg_moment_targets(label: Label, max_n: int) -> list[MomentTarget]:
     """Moment targets 0..max_n of the lowering-eigenstate measure (1/(2*pi) at n = 0)."""
-    return _moment_targets(label, max_n, 1, 1.0)
+    return _moment_targets(label, max_n, 1 / TWO_PI, True)
 
 
 def perelomov_moment_targets(label: Label, max_n: int) -> list[MomentTarget]:
     """Moment targets 0..max_n of the noncompact orbit-state measure (1/pi at n = 0)."""
-    return _moment_targets(label, max_n, -1, 2.0)
+    return _moment_targets(label, max_n, 1 / math.pi, False)
 
 
 # ---------------------------------------------------------------------------

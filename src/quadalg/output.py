@@ -103,7 +103,9 @@ def diag_matrix_json(values: Sequence[float], offset: int) -> JSONFragment:
 
 
 def csv_cell(v) -> str:
-    """One CSV cell: floats as in JSON, lists joined by ';', dicts as inline JSON."""
+    """One CSV cell: floats as in JSON, lists joined by ';', dicts as inline JSON, None empty."""
+    if v is None:
+        return ""
     if isinstance(v, float):
         return fmt_float(v)
     if isinstance(v, list):

@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -192,20 +192,17 @@ class Representation:
         return mask
 
 
-def ladder_rep(label: Label, dim: Optional[int] = None) -> Representation:
-    """The representation of ``label``; an infinite one truncated to ``dim`` states.
+def ladder_squares(label: Label) -> Iterator[int]:
+    """The exact squares qp_sq[0], qp_sq[1], ... of the raising entries, lazily.
 
     The diagonal climbs in unit steps from the sector's lowest Q0, and the
     squares follow from the structure polynomial p alone: [Q+, Q-] = p(Q0)
     at level n reads qp_sq[n-1] - qp_sq[n] = p(q0_n), with qp_sq[-1] = 0.
     Each step -p(q0_n) is an integer and quadratic in n, so the steps are
     generated from their forward differences at n = 0 and summed in ints.
+    A finite label's squares stop at its top state; an infinite one's never do.
     """
     algebra = ALGEBRAS[label.sector]
-    if algebra.finite:
-        dim = label.dim
-    elif dim is None or dim < 1:
-        raise InvalidLabelError(f"truncation dimension must be >= 1, got {dim}")
     low = algebra.lowest(label)
     c0, c1, c2 = algebra.structure(label.kval, label.l)
     # -p(low + n) at n = 0 and its first and second forward differences
@@ -213,7 +210,19 @@ def ladder_rep(label: Label, dim: Optional[int] = None) -> Representation:
     _require(s0.denominator == d1.denominator == 1, f"{label} has non-integer ladder squares")
     steps = itertools.accumulate(itertools.accumulate(
         itertools.repeat(int(d2)), initial=int(d1)), initial=int(s0))
-    squares = list(itertools.islice(itertools.accumulate(steps), dim - 1))
+    squares = itertools.accumulate(steps)
+    return itertools.islice(squares, label.step) if algebra.finite else squares
+
+
+def ladder_rep(label: Label, dim: Optional[int] = None) -> Representation:
+    """The representation of ``label``; an infinite one truncated to ``dim`` states."""
+    algebra = ALGEBRAS[label.sector]
+    if algebra.finite:
+        dim = label.dim
+    elif dim is None or dim < 1:
+        raise InvalidLabelError(f"truncation dimension must be >= 1, got {dim}")
+    squares = list(itertools.islice(ladder_squares(label), dim - 1))
+    low = algebra.lowest(label)
     q0_diag = tuple(low + n for n in range(dim))
     return Representation(
         label=label, dim=dim, qp_sq=tuple(squares), q0_diag=q0_diag,

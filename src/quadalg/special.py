@@ -1,11 +1,12 @@
 """Hypergeometric series and the confluent function at negative argument.
 
-The one home of the series arithmetic: :func:`hyp0f2`, :func:`hyp1f1` and
-:func:`hyp2f0` for :mod:`quadalg.coherent`, :func:`confluent_neg` (M(a; c; -x))
-for :mod:`quadalg.measures`.  0F2 and 1F1 stop below ``TOL`` times the sum.
-A 2F0 with a non-positive integer parameter is a polynomial, summed in full;
-any other diverges and is summed up to its smallest term (optimal
-truncation), with the first omitted term as the error estimate.
+The one home of the series arithmetic: :func:`confluent_neg` (M(a; c; -x))
+for :mod:`quadalg.measures`, :func:`hyp2f0` for the asymptotic metadata of
+:mod:`quadalg.coherent`, :func:`hyp0f2` and :func:`hyp1f1` for the tests, as
+closed forms of the coherent-state norms.  0F2 and 1F1 stop below ``TOL``
+times the sum.  A 2F0 with a non-positive integer parameter is a polynomial,
+summed in full; any other diverges and is summed up to its smallest term
+(optimal truncation), with the first omitted term as the error estimate.
 """
 
 from __future__ import annotations

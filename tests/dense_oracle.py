@@ -20,6 +20,8 @@ its elements were computed in integers, and ``signed_square`` its helper.
 ``decompose_level`` and ``report_parts`` (once ``DegeneracyReport.parts``)
 are helpers whose only callers are tests: a level's pieces of
 ``spectrum.level_parts`` with their labels k as exact rationals.
+``compact_norm_sq_formula`` is the closed 1F1 form of the inverse-parameter
+compact coherent state's squared norm, which ``coherent`` once normalised by.
 """
 
 import itertools
@@ -37,6 +39,7 @@ from quadalg.diffreal import DiffOp, DiffRealization
 from quadalg.fock3 import RealizedOperators
 from quadalg.errors import BasisSpanError
 from quadalg.polyalg import RationalPoly, as_fraction
+from quadalg.special import HypergeomResult, hyp1f1
 
 
 def rising(x, n: int) -> Fraction:
@@ -46,6 +49,21 @@ def rising(x, n: int) -> Fraction:
     for i in range(n):
         out *= x + i
     return out
+
+
+def compact_norm_sq_formula(label, gamma_abs: float) -> tuple[float, HypergeomResult]:
+    """Squared norm of the unnormalised inverse-parameter orbit sum.
+
+    Evaluates |g|^(2(k-2l)) * Gamma(k+2l) * Phi(k-2l, 1-2l-k; |g|^2) /
+    Gamma(2k); the confluent series terminates after 2l-k+1 terms.
+    """
+    k, l = float(label.k), float(label.l)
+    s = label.step
+    phi = hyp1f1(-float(s), 1.0 - s - 2 * k, gamma_abs ** 2)
+    value = (gamma_abs ** (-2 * s)
+             * math.exp(math.lgamma(k + 2 * l) - math.lgamma(2 * k))
+             * phi.value)
+    return value, phi
 
 
 def rep_ladder_matrices(rep):

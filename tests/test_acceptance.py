@@ -14,8 +14,9 @@ import pytest
 from quadalg import coherent, defosc, diffreal, fock3, measures, reps, spectrum
 from quadalg.reps import Label
 
-from dense_oracle import (band_relation_residuals, casimir_scalar_exact, eigenspace_states,
-                          realized_matrices, rep_matrices, signed_square, two_dim_family)
+from dense_oracle import (band_relation_residuals, casimir_scalar_exact,
+                          compact_norm_sq_formula, eigenspace_states, realized_matrices,
+                          rep_matrices, signed_square, two_dim_family)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -152,7 +153,7 @@ def test_criterion_5_coherent_states():
                 st_g = coherent.perelomov_compact(label, par, form="gamma")
                 worst_norm = max(worst_norm, abs(st_a.norm - 1), abs(st_g.norm - 1))
             for gamma in (0.7, 1.9):
-                formula, _ = coherent.compact_norm_sq_formula(label, gamma)
+                formula, _ = compact_norm_sq_formula(label, gamma)
                 s = label.step
                 kf = float(k)
                 direct = 0.0

@@ -4,12 +4,15 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
+import sys
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from quadalg import diffreal, fock3, reps
+from quadalg import coherent, diffreal, fock3, reps
 from quadalg.cli import COMMANDS, main
 from quadalg.diffreal import DiffOp
 from quadalg.polyalg import RationalPoly
@@ -417,21 +420,30 @@ def test_negative_max_n_exits_2(capsys):
     assert code == 0 and len(json.loads(out)) == 1
 
 
-def test_arithmetic_error_exits_3(capsys):
-    # the perelomov-nc norm series overflows a float at this size
+def test_arithmetic_error_exits_3(capsys, monkeypatch):
+    def overflow(*args, **kwargs):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(coherent, "perelomov_noncompact", overflow)
     code, out, err = run(capsys, "coherent", "--family", "perelomov-nc", "--k", "1/2",
-                         "--l", "1/4", "--param", "0.9", "--dim", "4000")
+                         "--l", "1/4", "--param", "0.9", "--dim", "40")
     assert code == 3 and out == ""
     assert err.startswith("error: OverflowError") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
-NAN_PROBE = ("coherent", "--family=perelomov-c", "--k=1/2", "--l=801/4", "--param=0.5")
+NAN_PROBE = ("coherent", "--family=perelomov-c", "--k=1/2", "--l=9/4", "--param=0.5")
 
 
 @pytest.mark.parametrize("fmt, path", [("json", "norm_constant"), ("csv", "[0].re")])
-def test_non_finite_output_exits_3(capsys, fmt, path):
-    # the perelomov-c norm overflows at this label, so the state holds NaNs
+def test_non_finite_output_exits_3(capsys, monkeypatch, fmt, path):
+    def nan_state(label, parameter, form="alpha"):
+        return coherent.CoherentState(
+            family="PerelomovC", label=label, parameter=complex(parameter),
+            coeffs=np.full(label.dim, math.nan, dtype=complex), norm_constant=math.nan,
+            truncation=label.dim, divergence_flag=False)
+
+    monkeypatch.setattr(coherent, "perelomov_compact", nan_state)
     code, out, err = run(capsys, *NAN_PROBE, f"--format={fmt}")
     assert code == 3 and out == ""
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
@@ -439,11 +451,19 @@ def test_non_finite_output_exits_3(capsys, fmt, path):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("l", ["501/4", "751/4", "801/4"])
-def test_overflowed_norm_prints_one_stderr_line(capsys, l):
-    code, out, err = run(capsys, *NAN_PROBE[:3], f"--l={l}", "--param=0.5")
-    assert code == 3 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+@pytest.mark.parametrize("argv", [
+    ("--family=perelomov-c", "--k=1/2", "--l=501/4", "--param=0.5"),
+    ("--family=perelomov-c", "--k=1/2", "--l=751/4", "--param=0.5"),
+    ("--family=perelomov-c", "--k=1/2", "--l=801/4", "--param=0.5"),
+    ("--family=perelomov-nc", "--k=1/2", "--l=1/4", "--param=0.9", "--dim=4000"),
+])
+def test_norm_past_the_doubles_exits_0(capsys, argv):
+    # these norms once overflowed (exit 3); the log of the squared norm stays finite
+    code, out, err = run(capsys, "coherent", *argv)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["norm_constant"] is None or doc["norm_constant"] >= sys.float_info.min
+    assert math.isfinite(doc["provenance"]["log_norm_sq"]) and doc["unit_norm_error"] < 1e-12
 
 
 # argparse reads a negative value given as its own token as an option

@@ -1,6 +1,8 @@
 """Hypergeometric series and coherent-state families."""
 
+import json
 import math
+import sys
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -9,18 +11,13 @@ import pytest
 
 from quadalg import reps
 from quadalg.cli import main
-from quadalg.coherent import (
-    bg_state,
-    compact_norm_sq_formula,
-    perelomov_compact,
-    perelomov_noncompact,
-)
+from quadalg.coherent import bg_state, perelomov_compact, perelomov_noncompact
 from quadalg.errors import SeriesConvergenceError, TruncationError
 from quadalg.reps import Label
 from quadalg import special
 from quadalg.special import confluent_neg, hyp0f2, hyp1f1, hyp2f0
 
-from dense_oracle import rep_matrices
+from dense_oracle import compact_norm_sq_formula, rep_matrices
 
 mp.mp.dps = 40
 
@@ -302,3 +299,110 @@ def test_coefficients_csv(capsys):
     assert len(lines) == 7
     first = lines[1].split(",")
     assert first[0] == "0" and float(first[3]) == pytest.approx(abs(state.coeffs[0]) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# The walk against the closed forms it replaced, at 50 digits
+
+
+def _closed_form(family: str, label: Label, z: complex, dim: int):
+    """Unnormalised coefficients and squared norm from the closed forms the library
+    once normalised by: 0F2 for the eigenstates, the 2F0 partial sum for the
+    noncompact orbit states, the terminating 2F0 (alpha form) and the 1F1 formula
+    of ``compact_norm_sq_formula`` (gamma form) for the compact ones."""
+    k, s = mp.mpf(label.k.numerator) / label.k.denominator, label.step
+    z = mp.mpc(z)
+    if family == "bg":
+        c = [z ** n / mp.sqrt(mp.factorial(n) * mp.rf(2 * k, n) * mp.rf(s + 1, n))
+             for n in range(dim)]
+        return c, mp.hyper([], [2 * k, s + 1], abs(z) ** 2)
+    if family == "nc":
+        c = [z ** n * mp.sqrt(mp.rf(2 * k, n) * mp.rf(s + 1, n) / mp.factorial(n))
+             for n in range(dim)]
+        return c, mp.fsum(mp.rf(2 * k, n) * mp.rf(s + 1, n) * abs(z) ** (2 * n) / mp.factorial(n)
+                          for n in range(dim))
+    binom = [mp.binomial(s, n) for n in range(s + 1)]
+    if family == "alpha":
+        c = [z ** n * mp.sqrt(mp.rf(2 * k, n) * binom[n]) for n in range(s + 1)]
+        return c, mp.hyp2f0(2 * k, -s, -abs(z) ** 2)
+    c = [z ** (n - s) * mp.sqrt(mp.rf(2 * k, s - n) * binom[n]) for n in range(s + 1)]
+    x = abs(z) ** 2
+    return c, x ** (-s) * mp.rf(2 * k, s) * mp.hyp1f1(-s, 1 - s - 2 * k, x)
+
+
+def _build(family, label, z, dim):
+    if family == "bg":
+        return bg_state(label, z)
+    if family == "nc":
+        return perelomov_noncompact(label, z, dim)
+    return perelomov_compact(label, z, form=family)
+
+
+WALK_GRID = [
+    ("bg", Label("noncompact", F(1, 2), F(1, 4)), z, None) for z in (0.3, 2 - 1j, 40j, 300)
+] + [
+    ("bg", Label("noncompact", F(5, 2), F(-3, 4)), z, None) for z in (1 + 1j, 25)
+] + [
+    ("nc", Label("noncompact", k, l), z, d)
+    for k, l in ((F(1, 2), F(1, 4)), (F(3, 2), F(-1, 4)))
+    for z, d in ((0.4 + 0.2j, 24), (0.05j, 300), (0.9, 600))
+] + [
+    (form, Label("compact", k, l), z, None)
+    for form in ("alpha", "gamma")
+    for k, l in ((F(1, 2), F(9, 4)), (F(3, 2), F(17, 4)), (1, F(202, 4)), (F(1, 2), F(801, 4)))
+    for z in (0.3 - 0.5j, 2 + 1j, 1e-5)
+]
+
+
+@pytest.mark.parametrize("family, label, z, dim", WALK_GRID)
+def test_walk_matches_closed_forms(family, label, z, dim):
+    with mp.workdps(50):
+        state = _build(family, label, z, dim)
+        c, norm_sq = _closed_form(family, label, z, state.truncation)
+        if family == "gamma" and label.step < 20:  # the float formula the library once used
+            assert compact_norm_sq_formula(label, abs(z))[0] == pytest.approx(float(norm_sq),
+                                                                              rel=1e-12)
+        log_norm_sq = mp.log(norm_sq)
+        const = 1 / mp.sqrt(norm_sq)
+        # the eigenstate's truncation drops a tail below 1e-26 of the 0F2
+        log_err = abs(state.provenance["log_norm_sq"] - log_norm_sq)
+        assert log_err <= 1e-13 * max(1, abs(log_norm_sq))
+        if const >= sys.float_info.min:
+            assert state.norm_constant == pytest.approx(float(const), rel=1e-13)
+        else:
+            assert state.norm_constant is None
+        worst = max(abs(mp.mpc(got) - want * const) for got, want in zip(state.coeffs, c))
+        assert worst <= 1e-13
+    assert state.provenance["terms"] == state.truncation == len(c)
+
+
+PROBES = {
+    # argv: norm_constant (None where it is no normal double) and log_norm_sq, from mpmath
+    "--family=bg --k=1/2 --l=1/4 --param=1e4": "bg",
+    "--family=perelomov-c --k=1/2 --l=401/4 --param=0.5 --gamma-form": "gamma",
+    "--family=perelomov-nc --k=1/2 --l=1/4 --param=0.9 --dim=4000": "nc",
+    "--family=perelomov-nc --k=1/2 --l=1/4 --param=0.5 --dim=400": "nc",
+    "--family=perelomov-c --k=1/2 --l=801/4 --param=0.5": "alpha",
+    "--family=perelomov-c --k=3/2 --l=7/4 --param=1e-300 --gamma-form": "gamma",
+}
+
+
+@pytest.mark.parametrize("argv", list(PROBES))
+def test_norms_past_the_doubles(capsys, argv):
+    # each of these once exited 3 (an overflow, a non-finite norm or a ZeroDivisionError)
+    opts = dict(a[2:].split("=") for a in argv.split() if "=" in a)
+    label = Label("compact" if opts["family"] == "perelomov-c" else "noncompact",
+                  F(opts["k"]), F(opts["l"]))
+    code = main(["coherent", *argv.split()])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    with mp.workdps(50):
+        norm_sq = _closed_form(PROBES[argv], label, float(opts["param"]), doc["dim"])[1]
+        const = 1 / mp.sqrt(norm_sq)
+        log_norm_sq = mp.log(norm_sq)
+    assert doc["provenance"]["log_norm_sq"] == pytest.approx(float(log_norm_sq), rel=1e-12)
+    if const >= sys.float_info.min:
+        assert doc["norm_constant"] == pytest.approx(float(const), rel=1e-12)
+    else:
+        assert doc["norm_constant"] is None
+    assert doc["unit_norm_error"] <= 1e-12

@@ -85,6 +85,17 @@ def test_su11_rejects_k_not_a_positive_half_integer(k):
         build_realization("su11", Label("su11", k=k), size=4)
 
 
+@pytest.mark.parametrize("kind, label", [
+    ("su2", Label("su11", k=1)),
+    ("su11", Label("su2", j=1)),
+    ("compactQ", Label("noncompact", F(1, 2), F(1, 4))),
+    ("noncompactQ", Label("compact", 1, 1)),
+])
+def test_label_of_another_sector_is_refused(kind, label):
+    with pytest.raises(InvalidLabelError, match=f"^{kind} needs a {diffreal.SECTORS[kind]} label$"):
+        build_realization(kind, label, size=4)
+
+
 def _compact_labels(max_dim):
     for twok in range(1, 7):
         for step in range(0, max_dim):

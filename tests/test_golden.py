@@ -33,6 +33,14 @@ The four ``rep``/``casimir`` digests of the noncompact label (1/2,
 -100000000000000001/4), whose diagonal passes 2^53, were recorded while each
 sector still had its own constructor with typed closed-form squares.
 
+The eighteen ``coherent`` and moment-table digests (all eight BG cases, both
+formats of the three Perelomov cases and of the two moment tables) were
+re-recorded when every coherent family became one scaled walk over the
+exact ladder squares and each moment target the rounded exact ratio:
+``norm_constant`` and the coefficients moved by a few ulps, the provenance
+took the uniform keys with ``log_norm_sq``, and each moment ``value`` became
+``float(ratio_to_first)`` times target(0) instead of a sum of log-gammas.
+
 The nine ``--help`` texts are pinned too, at a fixed ``COLUMNS`` (argparse
 wraps to the terminal width).
 """
@@ -223,21 +231,21 @@ GOLDEN = {
     "deform --k=1/2 --l=1023/4 --tol=0":
         (3, "15fd005ba7d22fbaf1e9aacec7da8f293018371098601c566d9801060fb45444"),
     "coherent --family=bg --k=1/2 --l=1/4 --param=1+1j":
-        (0, "a9b37775a62352b3f7e65781a55c900e5ae4fdc68b62a7fc912a287730b7c029"),
+        (0, "b6bd08175f96a1ec062167baa793317cec4754c3e87436183ab53e0ac272e224"),
     "coherent --family=bg --k=1/2 --l=1/4 --param=0.5":
-        (0, "065698400b5c848e5ca7acb2fea5dcf3451888e7ecf0c0fc90d8766afcc33fa8"),
+        (0, "57e89b8a1db82ee73d92959cf24a3291da16874a12fa4529dd03d5ebc99de3a8"),
     "coherent --family=bg --k=1/2 --l=1/4 --param=60+80j":
-        (0, "55c4fc7f50ad717dcc6f9b5dfde038b36810acf935bc2c5a07c685077c39df6e"),
+        (0, "3efc02448c98468e389064527817dae438a97f0fe50ae7bd1583b05cae358664"),
     "coherent --family=bg --k=1/2 --l=1/4 --param=0":
-        (0, "cc9715c6da6397f473bf6c04996f8d434f7cea3ad7572684bd0a5b003c44ee1f"),
+        (0, "d8c3d3afcabc1cb5446bf818b743b65e6c23b27c60f67310ee79640068d52b9d"),
     "coherent --family=bg --k=3/2 --l=1/4 --param=2-1j":
-        (0, "d9e70507ac80de6cd067a11730205f0a8413eef0559a00ed12787b3985bac213"),
+        (0, "376e946693359cba0c398cecc2cfd7b7ba1fc96337ab6861275e98ef175a04d7"),
     "coherent --family=bg --k=1 --l=0 --param=0.3j --dim=16":
-        (0, "80511376ca1d643c696ef0df504c3d66a98248a6da85339f36c01f0392964fed"),
+        (0, "b251ccf5014a3902c3f7b3381661b93cd7474723c1942eae98dea4efee5544b5"),
     "coherent --family=bg --k=5/2 --l=3/4 --param=-4+0.5j --dim=64":
-        (0, "7920d2ad428c8a6988e33d570265fd27c54bb0a9d5af4ca17cb0b509e7061a59"),
+        (0, "4926fdd026acf74c886e3cf750c5c0bf674035d03c787fd6eecfc1749dd38136"),
     "coherent --family=bg --k=1/2 --l=1/4 --param=0.5 --format=csv":
-        (0, "0f45e0f281de7d6e5190690ae0bed9060929484de874025edd98ff87f352f52f"),
+        (0, "b8fb32ff219308d84a6bd6989ac0758b8bad9cbb1674a660ab7436a1f09ca826"),
     "coherent --family=bg --k=1/2 --l=1/4 --param=3 --dim=4":
         (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify --sector=compact --cutoffs=1,1,1 --format=json":
@@ -372,13 +380,13 @@ GOLDEN = {
     "measure --check=resolution --k=1/2 --l=27/4 --format=csv":
         (0, "a219104c7780bc004e5f29c0638adb0acb482ef72366c92590f99123964f0cc3"),
     "measure --check=bg-moments --k=1/2 --l=1/4 --format=json":
-        (0, "8f42a40a6781b343dfeafd50adae820bba7e0fed9a3e18a4bcf2477d82a6c4e4"),
+        (0, "8c47df966428f2993a54ade1c67376a12e5e62e5a46c81f1e1f3854239a8ea51"),
     "measure --check=bg-moments --k=1/2 --l=1/4 --format=csv":
-        (0, "af9d4c3c7aaeacfefcfadfbf5f87a87a3f8ff29d4ddf1cd97423ba861081ef2f"),
+        (0, "82f3133415fbf8883999ce266e7fe62c79bec2e3906a7e096e55757bc50357d6"),
     "measure --check=perelomov-moments --k=3/2 --l=-1/4 --max-n=7 --format=json":
-        (0, "b2906295cfbc49e35f667c65ef3b548789bd674e642aa30a9010204823b3fb6e"),
+        (0, "421f19b0de6b948f61ea0f40f669e31e6bd7dbb1c1650219b6291067212079fd"),
     "measure --check=perelomov-moments --k=3/2 --l=-1/4 --max-n=7 --format=csv":
-        (0, "ea9584e471ef76556fda12309724d8a1ecc1297ab342997f20123932ade9b7eb"),
+        (0, "a3198c6a0d3c065dafc79fad6f856a16c973c0f00ae600e5fe33579c6beb64dd"),
     "measure --k=1/2 --l=9/4 --format=json":
         (0, "ea98ff158e0f688c767e33e3a6b0598b43d08d9c8e67ecb9f6b231f9f7ec8482"),
     "measure --k=1/2 --l=9/4 --format=csv":
@@ -388,17 +396,17 @@ GOLDEN = {
     "measure --k=1/2 --l=9/4 --tol=0 --format=csv":
         (3, "40bb88dabcb674a5ea2ec04448298be1871e9f65717a38370f49e3e38d691017"),
     "coherent --family=perelomov-nc --k=1/2 --l=1/4 --param=0.4+0.2j --dim=24 --format=json":
-        (0, "4e5f2d9584fb7d6d143888ef6427255aa7a12d71d2eb8e59f3dc6c77d00a7d78"),
+        (0, "1333e5f9ffcb22fb24ccbd174114441977649d372d065316ba4a8ebd24bc212b"),
     "coherent --family=perelomov-nc --k=1/2 --l=1/4 --param=0.4+0.2j --dim=24 --format=csv":
-        (0, "b5b0956edb3a4710968ce8f3e236b13ffec139c91f0382f17754727c5bf7fba9"),
+        (0, "2d98ad84bd048204d6bbba4101d9200f37535e0abcdc7d84128c6b06de813e15"),
     "coherent --family=perelomov-c --k=1/2 --l=9/4 --param=0.3-0.5j --format=json":
-        (0, "33c26d18270f18939dec516164f477b0c4e1b2aa75ee30bb92c607b81e0a3368"),
+        (0, "7065ccd3114e698c9a91dba83d5ac397578ae33d2fcd0e655def3459a38990eb"),
     "coherent --family=perelomov-c --k=1/2 --l=9/4 --param=0.3-0.5j --format=csv":
-        (0, "623b29107c6f9b38a7255a636a18aa3b5523415bd8203dd4f7e8dde58f9c97de"),
+        (0, "0e4e5673717b862b5929dd04ce10edda11e4edcc98a4757aa64012d4901ce355"),
     "coherent --family=perelomov-c --k=3/2 --l=17/4 --param=2+1j --gamma-form --format=json":
-        (0, "43d959af1c84cef779ca4b7d752328c6a871da56e2cc4b0c1dcc3868d6755689"),
+        (0, "f08e972a864318f52ef7924d1fe61bdcd3bd1ce29d1b3414ebc33f30b471843b"),
     "coherent --family=perelomov-c --k=3/2 --l=17/4 --param=2+1j --gamma-form --format=csv":
-        (0, "14169a8d4f329cf1fc423c1282846aa3b42a608a39a4891fed350237d4b63d71"),
+        (0, "854b5f19cbab399ecedd2711d720138da9b9e3ee704243fe2f181ca2f13991d7"),
     "rep --sector=noncompact --k=1/2 --l=1/4 --dim=2048 --format=json":
         (0, "c3edd37d8e00cd2fc7c755a155595deda7f837cd261a560bc6daf0cc9923bc96"),
     "rep --sector=su2 --j=2047/2 --format=json":

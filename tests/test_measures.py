@@ -1,6 +1,8 @@
 """Moment targets, the stable confluent evaluator, and measure verification."""
 
+import json
 import math
+import sys
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -386,3 +388,31 @@ def test_kummer_analytic_pole_in_denominator_is_zero():
     val, err = __import__("scipy.integrate", fromlist=["quad"]).quad(
         lambda r: (1 - r) * math.exp(-r), 0, 60)
     assert val == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("argv, nulls", [
+    (("--check=bg-moments", "--k=1/2", "--l=1/4", "--max-n=72"), 1),  # (72!)^3 overflows
+    (("--check=bg-moments", "--k=5/2", "--l=3/4", "--max-n=60"), 0),
+    (("--check=perelomov-moments", "--k=1/2", "--l=1/4", "--max-n=200"), 30),  # 1/171! ...
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_moment_value_is_the_rounded_ratio_or_null(capsys, argv, nulls, fmt):
+    # value = float(ratio_to_first) * target(0) bit for bit, and null (an empty CSV cell)
+    # where that is no normal double: never 0, a subnormal or an overflow
+    from quadalg.cli import main
+
+    assert main(["measure", *argv, f"--format={fmt}"]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        rows = [(r["value"], r["ratio_to_first"]) for r in json.loads(out)]
+    else:
+        rows = [(float(v) if v else None, r) for _, v, r in
+                (line.split(",") for line in out.splitlines()[1:])]
+    first = 1 / TWO_PI if "bg" in argv[0] else 1 / math.pi
+    for value, ratio in rows:
+        try:
+            want = float(F(ratio)) * first
+        except OverflowError:
+            want = 0.0
+        assert value == (want if want >= sys.float_info.min else None)
+    assert [value for value, _ in rows].count(None) == nulls

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from quadalg.output import JSONFragment, NonFiniteError, diag_matrix_json, json_dumps, write_csv
+from quadalg.output import (JSONFragment, NonFiniteError, csv_cell, diag_matrix_json, json_dumps,
+                            write_csv)
 
 
 @pytest.mark.parametrize("doc, path", [
@@ -25,6 +26,13 @@ def test_csv_refuses_non_finite(tmp_path):
     with open(tmp_path / "out.csv", "w") as stream, pytest.raises(NonFiniteError) as info:
         write_csv(stream, ("n", "value"), [(0, 1.0), (1, {"r": math.nan})])
     assert str(info.value).endswith("at [1].value.r")
+
+
+def test_csv_none_is_an_empty_cell(tmp_path):
+    assert csv_cell(None) == ""
+    with open(tmp_path / "out.csv", "w") as stream:
+        write_csv(stream, ("n", "value"), [(0, 1.0), (1, None)])
+    assert (tmp_path / "out.csv").read_text() == "n,value\n0,1\n1,\n"
 
 
 def test_fragment_written_verbatim():
