@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .reps import Label, ladder_squares
-from .special import hyp2f0
+from .special import HypergeomResult, hyp2f0
 
 LOW, HIGH = 2.0 ** -500, 2.0 ** 500  # the exponent takes over when |c| leaves this range
 
@@ -41,10 +41,12 @@ class CoherentState:
     """Unit-norm coefficient vector of a coherent state over a rep basis.
 
     ``norm_constant`` is 1/|unnormalised vector|, or None when that is not a
-    normal double; ``provenance["log_norm_sq"]`` always holds the log of the
-    squared norm.  For the noncompact orbit family the norm series diverges
-    for any non-zero parameter; the truncated vector is still normalised to
-    one, and ``divergence_flag`` marks that the series is asymptotic only.
+    normal double, and so is ``provenance["argument"]``, |parameter|^2 (0 at
+    parameter 0); an ``error_estimate`` past the doubles is None too.
+    ``provenance["log_norm_sq"]`` always holds the log of the squared norm.
+    For the noncompact orbit family the norm series diverges for any non-zero
+    parameter; the truncated vector is still normalised to one, and
+    ``divergence_flag`` marks that the series is asymptotic only.
     """
 
     family: str
@@ -103,6 +105,8 @@ def _unit(walked: list[tuple[complex, int]]) -> tuple[np.ndarray, float, Optiona
 def _state(family: str, label: Label, parameter: complex, walked, divergent: bool,
            series: str, parameters: list, argument: float, **extra) -> CoherentState:
     coeffs, log_norm_sq, const = _unit(walked)
+    if parameter != 0 and not sys.float_info.min <= abs(argument) < math.inf:
+        argument = None
     return CoherentState(
         family=family, label=label, parameter=parameter, coeffs=coeffs,
         norm_constant=const, truncation=len(coeffs), divergence_flag=divergent,
@@ -173,11 +177,12 @@ def perelomov_noncompact(label: Label, beta: complex, dim: int) -> CoherentState
     k, s = float(label.k), label.step
     walked = list(_walk(_split(beta), _orbit_gains(itertools.islice(ladder_squares(label),
                                                                     dim - 1))))
-    asym = hyp2f0(2 * k, s + 1, abs(beta) ** 2, dim)
+    x = abs(beta) * abs(beta)  # inf past the doubles: the first term is then the smallest
+    asym = hyp2f0(2 * k, s + 1, x, dim) if x < math.inf else HypergeomResult(1.0, 1, False, 0, x)
     return _state("PerelomovNC", label, beta, walked, beta != 0, "2F0-truncated",
-                  [2 * k, s + 1.0], abs(beta) ** 2, order=dim,
+                  [2 * k, s + 1.0], x, order=dim,
                   smallest_term_index=asym.smallest_term_index,
-                  error_estimate=asym.error_estimate)
+                  error_estimate=asym.error_estimate if asym.error_estimate < math.inf else None)
 
 
 def perelomov_compact(label: Label, parameter: complex,
@@ -200,11 +205,11 @@ def perelomov_compact(label: Label, parameter: complex,
     if form == "alpha":
         walked = list(_walk(_split(par), _orbit_gains(ladder_squares(label))))
         return _state("PerelomovC", label, par, walked, False, "2F0",  # 0.0 - x: never -0
-                      [2 * k, -float(s)], 0.0 - abs(par) ** 2)
+                      [2 * k, -float(s)], 0.0 - abs(par) * abs(par))
     if par == 0:
         raise ValueError("the inverse-parameter form needs a non-zero parameter")
     pm, pe = _split(par)
     im, ie = _split(1 / pm)
     walked = list(_walk((im, ie - pe), _orbit_gains(ladder_squares(label))))[::-1]
     return _state("PerelomovC", label, par, walked, False, "1F1",
-                  [-float(s), 1.0 - s - 2 * k], abs(par) ** 2)
+                  [-float(s), 1.0 - s - 2 * k], abs(par) * abs(par))

@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 
 import hypothesis.strategies as st
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import quadalg
 from quadalg import coherent, diffreal, fock3, reps
 from quadalg.cli import COMMANDS, main
 from quadalg.diffreal import DiffOp
@@ -287,6 +290,37 @@ def test_measure_kummer_invalid_exits_2(capsys):
     code, _, err = run(capsys, "measure", "--check", "kummer",
                        "--a", "1", "--b", "2", "--c", "4")
     assert code == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("option, names", [("--abs-tol=1e-300", "R = "),
+                                           ("--r-max=1e300", "R = 1.000e+300")])
+def test_extreme_tolerance_or_radius_is_a_quadrature_verdict(capsys, option, names):
+    # both once ended in a bare OverflowError, from the tail cutoff and from the integrand
+    code, out, err = run(capsys, "measure", "--k=2", "--l=7", option)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and names in err and "OverflowError" not in err
+
+
+def test_no_request_imports_scipy():
+    # the quadrature is the package's own; scipy alone took about 50 MB of a request's RSS
+    script = """if True:
+        import contextlib, io, sys
+        import quadalg.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["measure", "--k=2", "--l=7"],
+                         ["measure", "--check=kummer", "--a=6", "--b=0.6", "--c=5.5"],
+                         ["measure", "--check=bg-moments", "--k=1/2", "--l=1/4"]):
+                assert quadalg.cli.main(argv) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """
+    src = os.path.dirname(os.path.dirname(quadalg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_measure_moments(capsys):

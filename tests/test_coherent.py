@@ -384,12 +384,17 @@ PROBES = {
     "--family=perelomov-nc --k=1/2 --l=1/4 --param=0.5 --dim=400": "nc",
     "--family=perelomov-c --k=1/2 --l=801/4 --param=0.5": "alpha",
     "--family=perelomov-c --k=3/2 --l=7/4 --param=1e-300 --gamma-form": "gamma",
+    # |param|^2 past the doubles: the gamma form's squared norm tends to 1 there
+    "--family=perelomov-nc --k=1/2 --l=1/4 --param=1e200 --dim=4": "nc",
+    "--family=perelomov-c --k=1/2 --l=9/4 --param=1e200": "alpha",
+    "--family=perelomov-c --k=1/2 --l=9/4 --param=1e200 --gamma-form": "gamma",
 }
 
 
 @pytest.mark.parametrize("argv", list(PROBES))
 def test_norms_past_the_doubles(capsys, argv):
-    # each of these once exited 3 (an overflow, a non-finite norm or a ZeroDivisionError)
+    # each of these once exited 3 (an overflow, a non-finite norm or a ZeroDivisionError);
+    # the argument |param|^2 is null too where it is no normal double
     opts = dict(a[2:].split("=") for a in argv.split() if "=" in a)
     label = Label("compact" if opts["family"] == "perelomov-c" else "noncompact",
                   F(opts["k"]), F(opts["l"]))
@@ -406,3 +411,8 @@ def test_norms_past_the_doubles(capsys, argv):
     else:
         assert doc["norm_constant"] is None
     assert doc["unit_norm_error"] <= 1e-12
+    arg = mp.mpf(opts["param"]) ** 2
+    if sys.float_info.min <= arg <= sys.float_info.max:
+        assert abs(doc["provenance"]["argument"]) == pytest.approx(float(arg), rel=1e-15)
+    else:
+        assert doc["provenance"]["argument"] is None

@@ -381,6 +381,100 @@ def test_moment_label_validation():
         verify_compact_resolution(Label("noncompact", 1, F(1, 2)))
 
 
+def test_gauss_kronrod_constants():
+    # on [-1, 1]: K21 integrates x^d exactly up to degree 31, G10 up to degree 19 (and no further)
+    kronrod = [(x, w) for x, w in zip(measures.XGK, measures.WGK)]
+    kronrod += [(-x, w) for x, w in kronrod[:-1]]
+    gauss = [(x, w) for x, w in zip(measures.XGK[1::2], measures.WG)]
+    gauss += [(-x, w) for x, w in gauss]
+    assert (len(kronrod), len(gauss)) == (21, 10)
+    for rule, degree in ((kronrod, 31), (gauss, 19)):
+        for d in range(degree + 2):
+            err = abs(math.fsum(w * x ** d for x, w in rule) - (2 / (d + 1) if d % 2 == 0 else 0))
+            assert (err <= 1e-15) == (d <= degree), (degree, d, err)
+
+
+def _scipy_quad(f, r_max):
+    """An independent adaptive quadrature (QUADPACK's QAGP) on the same decade breakpoints."""
+    from scipy import integrate
+
+    points = [10.0 ** j for j in range(int(math.ceil(math.log10(max(r_max, 10.0)))))
+              if 10.0 ** j < r_max]
+    return integrate.quad(f, 0.0, r_max, points=points, epsabs=0.0, epsrel=1e-13, limit=800)[0]
+
+
+def _kummer_ref(a, b, c, r_max):
+    """int_0^R x^(b-1) M(a; c; -x) dx = R^b/b 2F2(b, a; b+1, c; -R)."""
+    r = mp.mpf(r_max)
+    return r ** b / b * mp.hyp2f2(b, a, b + 1, c, -r)
+
+
+def _moment_ref(twok, s, n, r_max):
+    """The n-th assembled compact moment over [0, R], through
+    int_0^R x^n M(a; c; -x) dx = R^(n+1)/(n+1) 2F2(n+1, a; n+2, c; -R)."""
+    a, c, r = s + 2, s + twok + 1, mp.mpf(r_max)
+    pref = (mp.gamma(c - 1 - n) / (mp.factorial(n) * mp.factorial(s - n))
+            * mp.gamma(a) / mp.gamma(c))
+    return pref, pref * r ** (n + 1) / (n + 1) * mp.hyp2f2(n + 1, a, n + 2, c, -r)
+
+
+# at the default rel_tol of 1e-8 the grids below stop inside that tolerance but up to 5e-13
+# off, so they ask for 1e-11
+TIGHT = QuadratureSpec(rel_tol=1e-11)
+
+
+@pytest.mark.parametrize("b", [0.5, 0.6, 0.9, 2.5])
+def test_kummer_quadrature_against_mpmath_and_scipy(b):
+    for a, c in ((6.0, 5.5), (3.5, 2.0), (7.5, 3.2), (4.0, 9.0)):
+        res = kummer_integral_check(a, b, c, TIGHT)
+        ref = _kummer_ref(a, b, c, res.r_max)
+        assert abs(res.numeric - ref) <= 1e-13 * abs(ref), (a, b, c)
+        oracle = _scipy_quad(lambda x: x ** (b - 1) * confluent_neg(a, c, x), res.r_max)
+        assert res.numeric == pytest.approx(oracle, rel=1e-13, abs=0), (a, b, c)
+
+
+@pytest.mark.parametrize("twok", [1, 4, 7])
+def test_resolution_quadrature_against_mpmath_and_scipy(twok):
+    k = F(twok, 2)
+    for s in range(15):  # every moment n <= s
+        for ch in verify_compact_resolution(Label("compact", k, (k + s) / 2), TIGHT).checks:
+            pref, ref = _moment_ref(twok, s, ch.n, ch.r_max)
+            assert abs(ch.moment - ref) <= 1e-13 * ref, (s, ch.n)
+            oracle = _scipy_quad(lambda x: x ** ch.n * confluent_neg(s + 2, s + twok + 1, x),
+                                 ch.r_max)
+            assert ch.moment == pytest.approx(float(pref) * oracle, rel=1e-13, abs=0), (s, ch.n)
+
+
+@pytest.mark.parametrize("a, b, c", [(20.724052334575838, 16.00842055353031, 14.0),
+                                     (12.75548609209537, 6.878175253485904, 1.0)])
+def test_kummer_where_rounding_bounds_the_quadrature(a, b, c):
+    # the integrand cancels about a millionfold, so |K21 - G10| stops shrinking above the
+    # tolerance; the rule ends on rounding, well inside its budget, and still passes --tol 1e-6
+    res = kummer_integral_check(a, b, c)
+    assert res.rel_error <= 1e-6 and res.evals < 21 * measures.QUAD_LIMIT / 10
+
+
+@pytest.mark.parametrize("argv", [
+    "--check=kummer --a=3 --b=1 --c=2", "--check=kummer --a=7.5 --b=2.5 --c=3.2",
+    "--check=kummer --a=6 --b=0.6 --c=5.5", "--check=resolution --k=2 --l=7",
+    "--check=resolution --k=1/2 --l=27/4", "--k=1/2 --l=9/4",
+])
+def test_golden_measure_values_against_mpmath(capsys, argv):
+    # at the default tolerances, each printed integral is within 1e-13 of int_0^R
+    from quadalg.cli import main
+
+    assert main(["measure", *argv.split()]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    for row in rows if isinstance(rows, list) else [rows]:
+        r_max = row["quadrature"]["R"]
+        if "numeric" in row:
+            got, ref = row["numeric"], _kummer_ref(row["a"], row["b"], row["c"], r_max)
+        else:
+            k, l = F(row["k"]), F(row["l"])
+            got, ref = row["moment"], _moment_ref(int(2 * k), int(2 * l - k), row["n"], r_max)[1]
+        assert abs(got - ref) <= 1e-13 * abs(ref), row
+
+
 def test_kummer_analytic_pole_in_denominator_is_zero():
     # c - b a non-positive integer sends the closed form to zero;
     # e.g. integrand (1-r)e^(-r) integrates to zero
