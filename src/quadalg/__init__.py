@@ -12,7 +12,6 @@ from .errors import (
     InvalidLabelError,
     NumericalToleranceError,
     QuadratureError,
-    SeriesConvergenceError,
     TruncationError,
 )
 from .polyalg import RationalPoly, discrete_antiderivative
@@ -27,7 +26,6 @@ from .reps import (
 )
 from .fock3 import FockSpace, RealizedOperators, realize, verify_realization
 from .diffreal import DiffOp, MonomialBasis, band_elements, build_realization
-from .special import HypergeomResult, hyp0f2, hyp1f1, hyp2f0
 from .coherent import CoherentState, bg_state, perelomov_compact, perelomov_noncompact
 from .measures import (
     MomentTarget,

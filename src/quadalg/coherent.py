@@ -15,7 +15,9 @@ coefficient or norm overflows or underflows on the way; the norm is one
 ``math.fsum``.  ``provenance`` names the hypergeometric series the squared
 norm equals (0F2, the divergent 2F0 of the noncompact orbit states, a
 terminating 2F0 or 1F1 for the compact ones) and reports its log, which
-stays finite where the norm constant itself leaves the doubles.
+stays finite where the norm constant itself leaves the doubles.  The
+optimal-truncation metadata of the noncompact 2F0 comes from the walk's own
+squared steps: its term ratio is |beta|^2 * qp_sq[n] / (n+1)^2.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .errors import TruncationError
 from .reps import Label, ladder_squares
-from .special import HypergeomResult, hyp2f0
 
 LOW, HIGH = 2.0 ** -500, 2.0 ** 500  # the exponent takes over when |c| leaves this range
 
@@ -42,7 +43,7 @@ class CoherentState:
 
     ``norm_constant`` is 1/|unnormalised vector|, or None when that is not a
     normal double, and so is ``provenance["argument"]``, |parameter|^2 (0 at
-    parameter 0); an ``error_estimate`` past the doubles is None too.
+    parameter 0); an ``error_estimate`` that overflows is None too.
     ``provenance["log_norm_sq"]`` always holds the log of the squared norm.
     For the noncompact orbit family the norm series diverges for any non-zero
     parameter; the truncated vector is still normalised to one, and
@@ -115,9 +116,9 @@ def _state(family: str, label: Label, parameter: complex, walked, divergent: boo
     )
 
 
-def _orbit_gains(squares: Iterable[int]) -> Iterator[float]:
-    """sqrt(qp_sq[n] / (n+1)^2), the orbit walk's step without its parameter."""
-    return (math.sqrt(q / (n + 1) ** 2) for n, q in enumerate(squares))
+def _orbit_ratios(squares: Iterable[int]) -> Iterator[float]:
+    """qp_sq[n] / (n+1)^2, the square of the orbit walk's step without its parameter."""
+    return (q / (n + 1) ** 2 for n, q in enumerate(squares))
 
 
 def bg_state(label: Label, alpha: complex, dim: Optional[int] = None,
@@ -137,7 +138,7 @@ def bg_state(label: Label, alpha: complex, dim: Optional[int] = None,
     if dim is not None and dim < 1:
         raise ValueError("truncation dimension must be >= 1")
     alpha = complex(alpha)
-    asq = abs(alpha) ** 2
+    asq = abs(alpha) * abs(alpha)
     tail_rel = (1e-26 if dim is None else 1e-12) if tail_rel is None else tail_rel
     squares, later = itertools.tee(ladder_squares(label))
     walk = _walk(_split(alpha), map(math.sqrt, squares), operator.truediv)
@@ -166,8 +167,10 @@ def perelomov_noncompact(label: Label, beta: complex, dim: int) -> CoherentState
 
     The squared-norm series is the (divergent) 2F0 of the label; the
     normalisation uses its partial sum over exactly ``dim`` terms, which
-    renormalises the truncated vector to one.  The asymptotic metadata of the
-    optimally truncated 2F0 is kept in ``provenance``.
+    renormalises the truncated vector to one.  ``provenance`` keeps the
+    metadata of the optimally truncated 2F0 over at most ``dim`` terms: the
+    index of its smallest term and the first omitted term as the error
+    estimate.  Its term ratio is |beta|^2 r_n, r_n being the walk's squared step.
     """
     if label.sector != "noncompact":
         raise ValueError("this family needs a noncompact label")
@@ -175,14 +178,20 @@ def perelomov_noncompact(label: Label, beta: complex, dim: int) -> CoherentState
         raise ValueError("truncation dimension must be >= 1")
     beta = complex(beta)
     k, s = float(label.k), label.step
-    walked = list(_walk(_split(beta), _orbit_gains(itertools.islice(ladder_squares(label),
-                                                                    dim - 1))))
+    ratios = list(_orbit_ratios(itertools.islice(ladder_squares(label), dim)))
+    walked = list(_walk(_split(beta), map(math.sqrt, ratios[:-1])))
     x = abs(beta) * abs(beta)  # inf past the doubles: the first term is then the smallest
-    asym = hyp2f0(2 * k, s + 1, x, dim) if x < math.inf else HypergeomResult(1.0, 1, False, 0, x)
+    term, shift = 1.0, 0  # the n-th term is term * 2**shift, so no term underflows
+    for n, r in enumerate(ratios):
+        nxt = term * (x * r)
+        if n == dim - 1 or nxt >= term:
+            break
+        term, e = math.frexp(nxt)
+        shift += e
+    estimate = math.ldexp(nxt, shift)
     return _state("PerelomovNC", label, beta, walked, beta != 0, "2F0-truncated",
-                  [2 * k, s + 1.0], x, order=dim,
-                  smallest_term_index=asym.smallest_term_index,
-                  error_estimate=asym.error_estimate if asym.error_estimate < math.inf else None)
+                  [2 * k, s + 1.0], x, order=dim, smallest_term_index=n,
+                  error_estimate=estimate if estimate < math.inf else None)
 
 
 def perelomov_compact(label: Label, parameter: complex,
@@ -202,14 +211,15 @@ def perelomov_compact(label: Label, parameter: complex,
         raise ValueError(f"form must be 'alpha' or 'gamma', got {form!r}")
     par = complex(parameter)
     k, s = float(label.k), label.step
+    gains = map(math.sqrt, _orbit_ratios(ladder_squares(label)))
     if form == "alpha":
-        walked = list(_walk(_split(par), _orbit_gains(ladder_squares(label))))
+        walked = list(_walk(_split(par), gains))
         return _state("PerelomovC", label, par, walked, False, "2F0",  # 0.0 - x: never -0
                       [2 * k, -float(s)], 0.0 - abs(par) * abs(par))
     if par == 0:
         raise ValueError("the inverse-parameter form needs a non-zero parameter")
     pm, pe = _split(par)
     im, ie = _split(1 / pm)
-    walked = list(_walk((im, ie - pe), _orbit_gains(ladder_squares(label))))[::-1]
+    walked = list(_walk((im, ie - pe), gains))[::-1]
     return _state("PerelomovC", label, par, walked, False, "1F1",
                   [-float(s), 1.0 - s - 2 * k], abs(par) * abs(par))

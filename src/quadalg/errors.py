@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps :class:`InvalidLabelError` (and other ``ValueError``) to exit
-code 2 and :class:`NumericalToleranceError` subclasses to exit code 3.
+code 2 and the :class:`NumericalToleranceError` subclasses, a truncation or
+a quadrature that misses its tolerance, to exit code 3.
 """
 
 
@@ -15,10 +16,6 @@ class BasisSpanError(ValueError):
 
 class NumericalToleranceError(RuntimeError):
     """Base class for failures to reach a requested numerical tolerance."""
-
-
-class SeriesConvergenceError(NumericalToleranceError):
-    """A series did not reach the requested tolerance within the term cap."""
 
 
 class TruncationError(NumericalToleranceError):

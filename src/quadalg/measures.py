@@ -142,6 +142,8 @@ def _tail_cutoff(a: float, c: float, w: float, abs_tol: float) -> float:
         for m in range(d):
             term *= abs(p + m) / ((c + m) * (m + 1))
             coef_sum += term
+            if coef_sum == math.inf:  # log_tol would be -inf, which no finite R reaches
+                return math.inf
         w_eff = w + d
         log_tol -= math.log(2.0 * coef_sum)
         r = max(2.0 * w_eff + 16.0, 30.0)

@@ -1,27 +1,17 @@
-"""Hypergeometric series and the confluent function at negative argument.
+"""The confluent function M(a; c; -x) at negative argument, and its 2F0.
 
-The one home of the series arithmetic: :func:`confluent_neg` (M(a; c; -x))
-for :mod:`quadalg.measures`, :func:`hyp2f0` for the asymptotic metadata of
-:mod:`quadalg.coherent`, :func:`hyp0f2` and :func:`hyp1f1` for the tests, as
-closed forms of the coherent-state norms.  0F2 and 1F1 stop below ``TOL``
-times the sum.  A 2F0 with a non-positive integer parameter is a polynomial,
-summed in full; any other diverges and is summed up to its smallest term
-(optimal truncation), with the first omitted term as the error estimate.
+:func:`confluent_neg` serves :mod:`quadalg.measures`; past x = 80 it reads
+the asymptotic 2F0 of :func:`_sum_2f0`, which sums a polynomial (a
+non-positive integer parameter) in full and any other series up to its
+smallest term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
-
-from .errors import SeriesConvergenceError
-
-Number = Union[float, complex]
+from typing import Optional
 
 INT_TOL = 1e-9
-TOL = 1e-15
-MAX_TERMS = 100000
 
 
 def is_nonpos_int(x: float) -> bool:
@@ -38,98 +28,27 @@ def termination_index(numerator) -> Optional[int]:
     return stop
 
 
-@dataclass
-class HypergeomResult:
-    value: Number
-    terms: int
-    converged: bool
-    smallest_term_index: Optional[int] = None
-    error_estimate: Optional[float] = None
-
-
-def _sum_convergent(num, den, x, stop_at: Optional[int]) -> HypergeomResult:
-    term = total = 1.0
-    m = 0
-    while m < MAX_TERMS:
-        if stop_at is not None and m + 1 >= stop_at:
-            return HypergeomResult(total, m + 1, True)
-        ratio = x / (m + 1)
-        for a in num:
-            ratio *= a + m
-        for b in den:
-            ratio /= b + m
-        term = term * ratio
-        total = total + term
-        m += 1
-        if abs(term) < TOL * abs(total):
-            return HypergeomResult(total, m + 1, True)
-    raise SeriesConvergenceError(
-        f"series did not converge within {MAX_TERMS} terms (|last term| = {abs(term):.3e})")
-
-
-def _sum_2f0(a: float, b: float, x: Number, order: int, stop: Optional[int], value_only=False):
-    """2F0(a, b; x) over at most ``order`` terms, as the fields of a HypergeomResult.
+def _sum_2f0(a: float, b: float, x: float, order: int, stop: Optional[int]):
+    """2F0(a, b; x) over at most ``order`` terms: ``(sum, terms, exact, first omitted |term|)``.
 
     A polynomial (``stop`` non-zero terms) is summed in full; any other
-    series ends before its first term that does not shrink (with
-    ``value_only``, also before one that cannot move the sum).
+    series ends before its first term that does not shrink or cannot move
+    the sum.
     """
-    term = total = best = 1.0
-    best_m = m = 0
+    term = total = 1.0
+    m = 0
     last = order if stop is None or stop > order else stop
     while m + 1 < last:
         nxt = term * (a + m) * (b + m) * x / (m + 1)
-        if stop is None and (abs(nxt) >= best
-                             or value_only and abs(nxt) < 0.25 * math.ulp(total)):
+        if stop is None and (abs(nxt) >= abs(term) or abs(nxt) < 0.25 * math.ulp(total)):
             # terms started growing (optimal truncation), or none left can change the value
-            return total, m + 1, False, best_m, abs(nxt)
+            return total, m + 1, False, abs(nxt)
         term = nxt
         total = total + term
         m += 1
-        if abs(term) < best:
-            best, best_m = abs(term), m
     if m + 1 == stop:
-        return total, m + 1, True, best_m, 0.0
-    return total, m + 1, False, best_m, abs(term * (a + m) * (b + m) * x / (m + 1))
-
-
-def _checked(num, den, x: Number) -> Number:
-    """``x``, real if its imaginary part is 0; refuses a non-finite ``x`` and a pole
-    in ``den`` that no parameter in ``num`` terminates the series before."""
-    for b in den:
-        if is_nonpos_int(b) and not any(is_nonpos_int(a) and a >= b - INT_TOL for a in num):
-            raise ValueError(f"denominator parameter {b} is a non-positive integer (pole)")
-    if isinstance(x, complex) and x.imag == 0:
-        x = x.real
-    if not isinstance(x, complex) and not math.isfinite(x):
-        raise ValueError("argument must be finite")
-    return x
-
-
-def hyp0f2(b1: float, b2: float, x: Number) -> HypergeomResult:
-    """0F2(; b1, b2; x)."""
-    den = (float(b1), float(b2))
-    return _sum_convergent((), den, _checked((), den, x), None)
-
-
-def hyp1f1(a: float, b: float, x: Number) -> HypergeomResult:
-    """1F1(a; b; x); a non-terminating series at negative real argument is
-    refused, as :func:`confluent_neg` evaluates it stably."""
-    num, den = (float(a),), (float(b),)
-    x, stop = _checked(num, den, x), termination_index(num)
-    if not isinstance(x, complex) and x < 0 and stop is None:
-        raise ValueError("a non-terminating 1F1 at negative argument is confluent_neg(a, b, -x)")
-    return _sum_convergent(num, den, x, stop)
-
-
-def hyp2f0(a: float, b: float, x: Number, order: int) -> HypergeomResult:
-    """2F0(a, b; ; x) over at most ``order`` terms: in full if it terminates, else
-    optimally truncated, with the smallest-term index and an error estimate."""
-    num = (float(a), float(b))
-    x = _checked(num, (), x)
-    if order < 1:
-        raise ValueError("2F0 is divergent; supply a positive truncation order")
-    return HypergeomResult(*_sum_2f0(*num, x, order, termination_index(num)))
+        return total, m + 1, True, 0.0
+    return total, m + 1, False, abs(term * (a + m) * (b + m) * x / (m + 1))
 
 
 _ASYMPTOTIC_SWITCH = 80.0
@@ -160,8 +79,7 @@ def confluent_neg(a: float, c: float, x: float) -> float:
         # math.gamma keeps the sign of Gamma(c-a) for negative non-integer c-a
         lead = math.exp(math.lgamma(c) - a * math.log(x)) / math.gamma(p)
         b = a - c + 1
-        total, _, exact, _, omitted = _sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)),
-                                               value_only=True)
+        total, _, exact, omitted = _sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)))
         if exact or omitted < 0.25 * math.ulp(total) or x >= 700.0:
             return lead * total
     if x >= 745.0:

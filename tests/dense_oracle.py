@@ -21,7 +21,8 @@ its elements were computed in integers, and ``signed_square`` its helper.
 are helpers whose only callers are tests: a level's pieces of
 ``spectrum.level_parts`` with their labels k as exact rationals.
 ``compact_norm_sq_formula`` is the closed 1F1 form of the inverse-parameter
-compact coherent state's squared norm, which ``coherent`` once normalised by.
+compact coherent state's squared norm, which ``coherent`` once normalised by;
+its terminating 1F1 is mpmath's.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Union
 
+import mpmath as mp
 import numpy as np
 from scipy import sparse
 
@@ -39,7 +41,6 @@ from quadalg.diffreal import DiffOp, DiffRealization
 from quadalg.fock3 import RealizedOperators
 from quadalg.errors import BasisSpanError
 from quadalg.polyalg import RationalPoly, as_fraction
-from quadalg.special import HypergeomResult, hyp1f1
 
 
 def rising(x, n: int) -> Fraction:
@@ -51,7 +52,7 @@ def rising(x, n: int) -> Fraction:
     return out
 
 
-def compact_norm_sq_formula(label, gamma_abs: float) -> tuple[float, HypergeomResult]:
+def compact_norm_sq_formula(label, gamma_abs: float) -> float:
     """Squared norm of the unnormalised inverse-parameter orbit sum.
 
     Evaluates |g|^(2(k-2l)) * Gamma(k+2l) * Phi(k-2l, 1-2l-k; |g|^2) /
@@ -59,11 +60,10 @@ def compact_norm_sq_formula(label, gamma_abs: float) -> tuple[float, HypergeomRe
     """
     k, l = float(label.k), float(label.l)
     s = label.step
-    phi = hyp1f1(-float(s), 1.0 - s - 2 * k, gamma_abs ** 2)
-    value = (gamma_abs ** (-2 * s)
-             * math.exp(math.lgamma(k + 2 * l) - math.lgamma(2 * k))
-             * phi.value)
-    return value, phi
+    phi = float(mp.hyp1f1(-s, 1 - s - 2 * k, gamma_abs ** 2))
+    return (gamma_abs ** (-2 * s)
+            * math.exp(math.lgamma(k + 2 * l) - math.lgamma(2 * k))
+            * phi)
 
 
 def rep_ladder_matrices(rep):

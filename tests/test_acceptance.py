@@ -153,7 +153,7 @@ def test_criterion_5_coherent_states():
                 st_g = coherent.perelomov_compact(label, par, form="gamma")
                 worst_norm = max(worst_norm, abs(st_a.norm - 1), abs(st_g.norm - 1))
             for gamma in (0.7, 1.9):
-                formula, _ = compact_norm_sq_formula(label, gamma)
+                formula = compact_norm_sq_formula(label, gamma)
                 s = label.step
                 kf = float(k)
                 direct = 0.0

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import hypothesis.strategies as st
 import numpy as np
@@ -389,6 +390,22 @@ def test_non_finite_param_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "finite" in err and "Traceback" not in err
+
+
+def test_bg_parameter_past_the_doubles_is_a_truncation_verdict(capsys):
+    # |alpha|^2 past the doubles once ended in an OverflowError; as inf, no truncation reaches
+    # the tail
+    code, out, err = run(capsys, *BG, "--param=1e200")
+    assert code == 3 and out == ""
+    assert err.startswith("error: no truncation below 4096") and "OverflowError" not in err
+
+
+def test_kummer_tail_cutoff_stops_at_an_infinite_coefficient_sum(capsys):
+    # c - a = -999999998: the cutoff once summed every one of those coefficients
+    start = time.perf_counter()
+    code, out, err = run(capsys, "measure", "--check=kummer", "--a=1e9", "--b=1", "--c=2")
+    assert time.perf_counter() - start < 0.1
+    assert code == 3 and out == "" and "no finite R reaches the tolerance" in err
 
 
 # tolerances and --tol thresholds must be >= 0, --abs-tol and --r-max > 0

@@ -186,8 +186,7 @@ def _ref_confluent_neg(a, c, x):
 def _asymptotic_2f0_settles(a, c, x):
     """Whether the 2F0 of the x > 80 branch terminates or reaches a term below ulp(sum)/4."""
     b = a - c + 1
-    total, _, exact, _, omitted = _sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)),
-                                           value_only=True)
+    total, _, exact, omitted = _sum_2f0(a, b, 1.0 / x, 501, termination_index((a, b)))
     return exact or omitted < 0.25 * math.ulp(total)
 
 
