@@ -22,6 +22,13 @@ from dense_oracle import compact_norm_sq_formula, rep_matrices
 mp.mp.dps = 40
 
 
+def test_series_validation():
+    # M(a; c; -x) is defined for x >= 0 only; the other side is Kummer's transformation
+    with pytest.raises(ValueError, match="x >= 0"):
+        confluent_neg(1.0, 2.0, -0.5)
+    assert confluent_neg(1.0, 2.0, 0.5) == pytest.approx(float(mp.hyp1f1(1, 2, -0.5)), rel=1e-14)
+
+
 def test_hypergeom_trivial_values():
     for a, c in [(1.0, 2.0), (0.5, 3.5), (7.0, 0.25)]:
         assert confluent_neg(a, c, 0.0) == 1.0
@@ -33,11 +40,26 @@ def test_hypergeom_1f1_exponential_identity():
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 1.5), (2.0, 5.0), (3.5, 1.25), (6.0, 2.0)])
-@pytest.mark.parametrize("x", [-2.5, -20.0, -60.0])
+@pytest.mark.parametrize("x", [2.5, -2.5, 20.0, -20.0, -60.0])
 def test_1f1_against_mpmath(a, b, x):
-    got = confluent_neg(a, b, -x)
+    # x > 0 through Kummer's transformation M(a; b; x) = e^x M(b-a; b; -x)
+    got = math.exp(x) * confluent_neg(b - a, b, x) if x > 0 else confluent_neg(a, b, -x)
     ref = float(mp.hyp1f1(a, b, x))
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_terminating_1f1_is_polynomial():
+    # c - a a non-positive integer: M(a; c; -x) = e^-x M(c-a; c; x), and
+    # M(-s; c; x) is the (s+1)-term polynomial, here summed in rationals
+    for s in range(0, 7):
+        for c in (F(1, 2), F(5, 4), 3, F(23, 2)):
+            for x in (F(9, 10), F(30), F(200)):
+                term = poly = F(1)
+                for m in range(s):
+                    term *= F(-s + m) * x / ((c + m) * (m + 1))
+                    poly += term
+                got = confluent_neg(float(c + s), float(c), float(x))
+                assert got == pytest.approx(math.exp(-x) * float(poly), rel=1e-12), (s, c, x)
 
 
 def _2f0(a, b, x, order):
@@ -72,6 +94,19 @@ def test_2f0_optimal_truncation_metadata():
     for m in range(40):
         terms.append(terms[-1] * (1 + m) * (1 + m) * 0.09 / (m + 1))
     assert kept - 1 == int(np.argmin(terms)) and omitted == pytest.approx(terms[kept], rel=1e-14)
+
+
+def test_series_cap_stops_at_order():
+    # a shrinking series still above ulp(sum)/4 ends at ``order`` terms, not exact
+    x = 0.001
+    terms = [1.0]
+    for m in range(5):
+        terms.append(terms[-1] * (1 + m) * (1 + m) * x / (m + 1))
+    for order in (1, 2, 4):
+        total, kept, exact, omitted = _2f0(1, 1, x, order)
+        assert kept == order and not exact
+        assert total == pytest.approx(math.fsum(terms[:order]), rel=1e-15)
+        assert omitted == pytest.approx(terms[order], rel=1e-14)
 
 
 def test_2f0_alternating_direction_matches_borel_value():
@@ -143,6 +178,21 @@ def bg_overlap_series(label: Label, alpha: complex, alpha2: complex) -> complex:
     d1 = mp.hyper([], den, abs(mp.mpc(alpha)) ** 2)
     d2 = mp.hyper([], den, abs(mp.mpc(alpha2)) ** 2)
     return complex(num / mp.sqrt(d1 * d2))
+
+
+@pytest.mark.parametrize("b1,b2", [(1.0, 1.0), (2.0, 3.0), (3.0, 4.0), (5.0, 2.0)])
+@pytest.mark.parametrize("x", [0.1, 1.0, 9.0, 25.0])
+def test_0f2_against_mpmath(b1, b2, x):
+    # the eigenstate's squared norm is 0F2(2k, s+1; |alpha|^2) up to its 1e-26 tail
+    k = F(round(b1), 2)
+    s = round(b2) - 1
+    state = bg_state(Label("noncompact", k, (k - s) / 2), math.sqrt(x))
+    prov = state.provenance
+    assert prov["series"] == "0F2" and prov["parameters"] == [b1, b2]
+    assert prov["argument"] == pytest.approx(x, rel=1e-15)
+    ref = mp.hyper([], [b1, b2], x)
+    assert prov["log_norm_sq"] == pytest.approx(float(mp.log(ref)), rel=1e-13, abs=1e-15)
+    assert state.norm_constant == pytest.approx(float(1 / mp.sqrt(ref)), rel=1e-13)
 
 
 def test_bg_overlap_two_routes():
